@@ -31,12 +31,7 @@ from .operators import (
     HammersteinOperator,
     Graph,
     GnnAggregateOperator,
-    ShiftedOperator,
     apply,
-    attention_apply,
-    hammerstein_apply,
-    gnn_aggregate,
-    lambda_shift,
     make_kernel,
     graph_from_edgelist,
     neighborhood_membership_counts,

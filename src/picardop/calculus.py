@@ -7,6 +7,7 @@ neighborhood-counting contraction certificate for graph aggregation.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -171,57 +172,44 @@ def lipschitz_sample(op, sampler, n_pairs: int, seed: int = 0,
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     rng = np.random.default_rng(seed)
-    pairs = ((sampler(rng), sampler(rng)) for _ in range(n_pairs))
+    sampled = ((sampler(rng), sampler(rng)) for _ in range(n_pairs))
     best = -np.inf
     used = 0
-    for x, y in pairs:
+    for x, y in itertools.chain(sampled, extra_pairs or ()):
         gap = norm(lincomb(1.0, x, -1.0, y), norm_kind)
         if gap < 1e-12:
             continue
         ratio = norm(lincomb(1.0, apply(op, x), -1.0, apply(op, y)), norm_kind) / gap
         best = max(best, ratio)
         used += 1
-    if extra_pairs:
-        for x, y in extra_pairs:
-            gap = norm(lincomb(1.0, x, -1.0, y), norm_kind)
-            if gap < 1e-12:
-                continue
-            ratio = norm(lincomb(1.0, apply(op, x), -1.0, apply(op, y)), norm_kind) / gap
-            best = max(best, ratio)
-            used += 1
     if used == 0:
         raise ValueError("all sampled pairs were degenerate (||x - y|| < 1e-12)")
     return LipschitzEstimate(value=float(best), method="pair-sampling",
                              samples=used, is_upper_bound=False, seed=seed)
 
 
-def _fd_jacobian(op, u, step: float) -> np.ndarray:
+def _jacobian(op, u, step: float) -> np.ndarray:
+    """Jacobian at u, one column per unit direction.
+
+    Attention columns are analytic derivatives; any other operator gets
+    central differences with the given step.
+    """
     flat = flatten_values(u)
     dim = flat.size
     if dim > FD_JACOBIAN_DIM_LIMIT:
-        raise ValueError(f"finite-difference Jacobian refused above "
-                         f"{FD_JACOBIAN_DIM_LIMIT} dimensions (got {dim})")
+        raise ValueError(f"Jacobian refused above {FD_JACOBIAN_DIM_LIMIT} dimensions "
+                         f"(got {dim})")
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
-        plus = apply(op, unflatten_like(u, flat + step * e))
-        minus = apply(op, unflatten_like(u, flat - step * e))
-        cols.append((flatten_values(plus) - flatten_values(minus)) / (2 * step))
-    return np.column_stack(cols)
-
-
-def _attention_jacobian(op: AttentionOperator, Y: np.ndarray) -> np.ndarray:
-    m, d = Y.shape
-    dim = m * d
-    if dim > FD_JACOBIAN_DIM_LIMIT:
-        raise ValueError(f"attention Jacobian refused above "
-                         f"{FD_JACOBIAN_DIM_LIMIT} dimensions (got {dim})")
-    cols = []
-    for j in range(dim):
-        E = np.zeros(dim)
-        E[j] = 1.0
-        cols.append(attention_frechet(op, Y, E.reshape(m, d)).ravel())
+        if isinstance(op, AttentionOperator):
+            col = attention_frechet(op, u, unflatten_like(u, e)).ravel()
+        else:
+            plus = apply(op, unflatten_like(u, flat + step * e))
+            minus = apply(op, unflatten_like(u, flat - step * e))
+            col = (flatten_values(plus) - flatten_values(minus)) / (2 * step)
+        cols.append(col)
     return np.column_stack(cols)
 
 
@@ -252,11 +240,7 @@ def derivative_bound_lipschitz(op, center, radius: float, n_samples: int,
             continue
         r = radius * rng.random() ** (1.0 / dim)
         u = unflatten_like(center, c + r * direction / dn)
-        if isinstance(op, AttentionOperator):
-            jac = _attention_jacobian(op, np.asarray(u, dtype=float))
-        else:
-            jac = _fd_jacobian(op, u, fd_step)
-        best = max(best, spectral_norm(jac))
+        best = max(best, spectral_norm(_jacobian(op, u, fd_step)))
     return LipschitzEstimate(value=float(best), method="derivative-bound",
                              samples=n_samples, is_upper_bound=False, seed=seed)
 

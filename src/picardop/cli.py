@@ -35,7 +35,7 @@ from .operators import (
 )
 from .picard import PicardConfig, banach_bounds, picard_solve, residual, trace_csv_text
 from .pign import run_pign_experiment
-from .spaces import DirectSumVector, GridFunction, load_matrix_text, load_vector_text
+from .spaces import DirectSumVector, GridFunction, load_matrix_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,61 +62,51 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
     })
 
 
+def _read_free_term(entry, base_dir: str, shape: tuple) -> np.ndarray:
+    """The config entry for f as an array; null or a constant fills ``shape``."""
+    if entry is None or (isinstance(entry, dict) and "constant" in entry):
+        if None in shape:
+            raise ConfigError("f", "needs an explicit matrix, whose row count sets m")
+        return np.full(shape, 0.0 if entry is None else float(entry["constant"]))
+    if isinstance(entry, str):
+        return load_matrix_text(os.path.join(base_dir, entry))
+    return np.asarray(entry["blocks"] if isinstance(entry, dict) else entry, dtype=float)
+
+
 def _resolve_free_term(entry, op, base_dir: str):
-    """Build the free term f in the operator's domain from its config entry."""
+    """Build the free term f in the operator's domain from its config entry.
+
+    The entry is an inline list, a text-file path, ``{"blocks": matrix}`` or
+    ``{"constant": c}``; null means zero. It must be finite and have the
+    operator's shape (vectors may be given as a column or a row).
+    """
     if isinstance(op, AffineOperator):
-        d = op.dim
-        if entry is None:
-            return np.zeros(d)
-        if isinstance(entry, dict) and "constant" in entry:
-            return np.full(d, float(entry["constant"]))
-        if isinstance(entry, str):
-            vec = load_vector_text(os.path.join(base_dir, entry))
-        else:
-            vec = np.asarray(entry, dtype=float).ravel()
-        if vec.shape != (d,):
-            raise ConfigError("f", f"expected a length-{d} vector, got shape {vec.shape}")
-        return vec
-    if isinstance(op, HammersteinOperator):
-        n = op.grid.n
-        if entry is None:
-            return GridFunction(op.grid, np.zeros(n))
-        if isinstance(entry, dict) and "constant" in entry:
-            return GridFunction(op.grid, np.full(n, float(entry["constant"])))
-        if isinstance(entry, str):
-            vec = load_vector_text(os.path.join(base_dir, entry))
-        else:
-            vec = np.asarray(entry, dtype=float).ravel()
-        if vec.shape != (n,):
-            raise ConfigError("f", f"expected {n} grid values, got shape {vec.shape}")
-        return GridFunction(op.grid, vec)
-    if isinstance(op, AttentionOperator):
-        if entry is None:
-            raise ConfigError("f", "attention solves need an explicit m x d matrix f")
-        if isinstance(entry, str):
-            M = load_matrix_text(os.path.join(base_dir, entry))
-        else:
-            M = np.asarray(entry, dtype=float)
-        if M.ndim != 2 or M.shape[1] != op.d:
-            raise ConfigError("f", f"expected an m x {op.d} matrix")
-        return M
-    if isinstance(op, GnnAggregateOperator):
-        n, d = op.graph.n, op.d
-        if entry is None:
-            return DirectSumVector([np.zeros(d) for _ in range(n)])
-        if isinstance(entry, dict) and "constant" in entry:
-            return DirectSumVector([np.full(d, float(entry["constant"]))
-                                    for _ in range(n)])
-        if isinstance(entry, dict) and "blocks" in entry:
-            M = np.asarray(entry["blocks"], dtype=float)
-        elif isinstance(entry, str):
-            M = load_matrix_text(os.path.join(base_dir, entry))
-        else:
-            M = np.asarray(entry, dtype=float)
-        if M.shape != (n, d):
-            raise ConfigError("f", f"expected an {n} x {d} block matrix, got {M.shape}")
-        return DirectSumVector.from_matrix(M)
-    raise ConfigError("operator.type", "unsupported operator for this command")
+        shape, wrap = (op.dim,), np.asarray
+    elif isinstance(op, HammersteinOperator):
+        shape, wrap = (op.grid.n,), lambda values: GridFunction(op.grid, values)
+    elif isinstance(op, GnnAggregateOperator):
+        shape, wrap = (op.graph.n, op.d), DirectSumVector.from_matrix
+    elif isinstance(op, AttentionOperator):
+        shape, wrap = (None, op.d), np.asarray
+    else:
+        raise ConfigError("operator.type", "unsupported operator for this command")
+    want = " x ".join("m" if n is None else str(n) for n in shape)
+    try:
+        values = _read_free_term(entry, base_dir, shape)
+    except ConfigError:
+        raise
+    except OSError as exc:
+        raise ConfigError("f", f"cannot read file: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("f", f"not a numeric {want} array: {exc!r}") from exc
+    if len(shape) == 1:
+        values = values.ravel()
+    if values.ndim != len(shape) or any(n not in (None, got)
+                                        for n, got in zip(shape, values.shape)):
+        raise ConfigError("f", f"expected shape {want}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("f", "must be finite (no NaN/Inf)")
+    return wrap(values)
 
 
 def _solve_setup(cfg: dict, base_dir: str):

@@ -17,7 +17,6 @@ from .spaces import (
     GridFunction,
     flatten_values,
     grid_from_json,
-    lincomb,
     load_matrix_text,
     load_vector_text,
 )
@@ -281,31 +280,12 @@ class GnnAggregateOperator:
         if not F.is_uniform() or F.block_dims[0] != self.d:
             raise ValueError(f"expected blocks of dim {self.d}, got {F.block_dims}")
         transformed = np.maximum(F.stacked() @ self.W.T, 0.0)
-        zero = np.zeros(self.d)
-        blocks = []
+        out = np.zeros((self.graph.n, self.d))
         for v in range(self.graph.n):
             nb = self.graph.neighborhood(v)
-            blocks.append(transformed[nb].max(axis=0) if nb.size else zero)
-        return DirectSumVector(blocks)
-
-
-class ShiftedOperator:
-    """The shifted map x -> lam * T(x) + f for a base operator T."""
-
-    def __init__(self, base, lam: float, f):
-        if lam == 0:
-            raise ValueError("lambda must be nonzero")
-        self.base = base
-        self.lam = float(lam)
-        self.f = f
-
-    def __call__(self, x):
-        return lincomb(self.lam, self.base(x), 1.0, self.f)
-
-
-def lambda_shift(base, lam: float, f) -> ShiftedOperator:
-    """Build the shifted operator lam*T + f; rejects lam = 0."""
-    return ShiftedOperator(base, lam, f)
+            if nb.size:
+                out[v] = transformed[nb].max(axis=0)
+        return F.with_values(out.ravel())
 
 
 def apply(op, x):
@@ -321,24 +301,6 @@ def apply(op, x):
     if not np.all(np.isfinite(flatten_values(out))):
         raise DivergenceError("operator produced non-finite output")
     return out
-
-
-def attention_apply(op: AttentionOperator, Y) -> np.ndarray:
-    if not isinstance(op, AttentionOperator):
-        raise TypeError("attention_apply needs an AttentionOperator")
-    return apply(op, Y)
-
-
-def hammerstein_apply(op: HammersteinOperator, y: GridFunction) -> GridFunction:
-    if not isinstance(op, HammersteinOperator):
-        raise TypeError("hammerstein_apply needs a HammersteinOperator")
-    return apply(op, y)
-
-
-def gnn_aggregate(op: GnnAggregateOperator, F: DirectSumVector) -> DirectSumVector:
-    if not isinstance(op, GnnAggregateOperator):
-        raise TypeError("gnn_aggregate needs a GnnAggregateOperator")
-    return apply(op, F)
 
 
 def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:

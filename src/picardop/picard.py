@@ -39,8 +39,8 @@ class PicardConfig:
     norm_kind: str = "discrete-L2"
 
     def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("lambda must be nonzero")
+        if not math.isfinite(self.lam) or self.lam == 0:
+            raise ValueError("lambda must be finite and nonzero")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:

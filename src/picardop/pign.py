@@ -91,18 +91,14 @@ def add_dropin_noise(X: DirectSumVector, p: float, magnitude: float,
         raise ValueError("noise fraction p must lie in [0, 1]")
     if not magnitude > 0:
         raise ValueError("magnitude must be positive")
-    flat = np.concatenate(X.blocks).copy()
+    flat = X.values.copy()
     total = flat.size
     count = int(math.floor(p * total))
     if count:
         rng = np.random.default_rng(seed)
         idx = rng.choice(total, size=count, replace=False)
         flat[idx] += magnitude
-    blocks, start = [], 0
-    for dim in X.block_dims:
-        blocks.append(flat[start:start + dim])
-        start += dim
-    return DirectSumVector(blocks)
+    return X.with_values(flat)
 
 
 def pign_embed(op: GnnAggregateOperator, X: DirectSumVector, alpha: float,

@@ -6,6 +6,8 @@ they can be shared freely across threads. Arithmetic is 64-bit floating point.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Sequence, Union
 
 import numpy as np
@@ -128,61 +130,88 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)
 
+    def same_space(self, other) -> bool:
+        return isinstance(other, GridFunction) and self.grid.matches(other.grid)
+
     def __repr__(self) -> str:
         return f"GridFunction(n={self.grid.n}, values={self.values!r})"
 
 
 class DirectSumVector:
-    """Element of a direct sum of component spaces, stored as per-block vectors.
+    """Element of a direct sum of component spaces, stored as one flat array.
 
-    The direct-sum norm is the *sum* of the component L2 norms, so that for
-    disjoint block concatenation the norm is additive.
+    ``values`` holds the blocks end to end and is read-only; ``blocks`` are
+    read-only views into it. The direct-sum norm is the *sum* of the component
+    L2 norms, so that for disjoint block concatenation the norm is additive.
     """
 
     def __init__(self, blocks: Sequence, block_dims: Sequence[int] | None = None):
-        arrs = [np.array(b, dtype=float) for b in blocks]
-        if not arrs:
-            raise ValueError("need at least one block")
-        for b in arrs:
-            if b.ndim != 1:
-                raise ValueError("blocks must be 1-D vectors")
-            _require_finite(b, "block values")
-            b.setflags(write=False)
+        arrs = [np.asarray(b, dtype=float) for b in blocks]
+        if any(b.ndim != 1 for b in arrs):
+            raise ValueError("blocks must be 1-D vectors")
         dims = tuple(b.size for b in arrs)
         if block_dims is not None and tuple(block_dims) != dims:
             raise ValueError(f"block_dims {tuple(block_dims)} do not match actual dims {dims}")
-        self.blocks = tuple(arrs)
+        self._store(np.concatenate(arrs) if arrs else np.zeros(0), dims)
+
+    def _store(self, values: np.ndarray, dims: tuple) -> None:
+        if not dims:
+            raise ValueError("need at least one block")
+        if values.shape != (sum(dims),):
+            raise ValueError(f"expected {sum(dims)} flat values for block dims {dims}, "
+                             f"got shape {values.shape}")
+        _require_finite(values, "block values")
+        values.setflags(write=False)
+        self.values = values
         self.block_dims = dims
+
+    def with_values(self, values) -> "DirectSumVector":
+        """A vector with this block structure holding a copy of the flat ``values``."""
+        out = DirectSumVector.__new__(DirectSumVector)
+        out._store(np.array(values, dtype=float), self.block_dims)
+        return out
+
+    def same_space(self, other) -> bool:
+        return isinstance(other, DirectSumVector) and self.block_dims == other.block_dims
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        ends = itertools.accumulate(self.block_dims)
+        return tuple(self.values[end - d:end] for d, end in zip(self.block_dims, ends))
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.block_dims)
 
     @property
     def total_dim(self) -> int:
-        return sum(self.block_dims)
+        return self.values.size
 
     def is_uniform(self) -> bool:
         return len(set(self.block_dims)) == 1
 
     def stacked(self) -> np.ndarray:
-        """Blocks as an (n_blocks, d) matrix; requires uniform block dims."""
+        """Blocks as a read-only (n_blocks, d) view; requires uniform block dims."""
         if not self.is_uniform():
             raise ValueError("blocks have mixed dimensions")
-        return np.stack(self.blocks)
+        return self.values.reshape(self.n_blocks, self.block_dims[0])
 
     @classmethod
     def from_matrix(cls, M) -> "DirectSumVector":
         M = np.asarray(M, dtype=float)
         if M.ndim != 2:
             raise ValueError("expected a 2-D matrix, one row per block")
-        return cls(list(M))
+        out = cls.__new__(cls)
+        out._store(M.flatten(), (M.shape[1],) * M.shape[0])
+        return out
 
     def __repr__(self) -> str:
         return f"DirectSumVector(n_blocks={self.n_blocks}, block_dims={self.block_dims})"
 
 
 VectorLike = Union[np.ndarray, GridFunction, DirectSumVector]
+# Values stored as one read-only flat array plus a fixed structure.
+_STRUCTURED = (GridFunction, DirectSumVector)
 
 
 def norm(x, kind: str = "discrete-L2") -> float:
@@ -194,14 +223,9 @@ def norm(x, kind: str = "discrete-L2") -> float:
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-    if isinstance(x, DirectSumVector):
-        if kind == "direct-sum":
-            return float(sum(np.linalg.norm(b) for b in x.blocks))
-        flat = np.concatenate(x.blocks)
-        if kind == "sup":
-            return float(np.max(np.abs(flat)))
-        return float(np.linalg.norm(flat))
-    values = x.values if isinstance(x, GridFunction) else np.asarray(x, dtype=float)
+    if kind == "direct-sum" and isinstance(x, DirectSumVector):
+        return float(sum(np.linalg.norm(b) for b in x.blocks))
+    values = x.values if isinstance(x, _STRUCTURED) else np.asarray(x, dtype=float)
     if kind == "sup":
         return float(np.max(np.abs(values))) if values.size else 0.0
     return float(np.linalg.norm(values.ravel()))
@@ -214,16 +238,10 @@ def direct_sum_norm(x: DirectSumVector) -> float:
 
 def lincomb(a: float, x, b: float, y):
     """Elementwise a*x + b*y for two vector-like values of matching shape."""
-    if isinstance(x, GridFunction) or isinstance(y, GridFunction):
-        if not (isinstance(x, GridFunction) and isinstance(y, GridFunction)
-                and x.grid.matches(y.grid)):
-            raise ValueError("grid functions must live on the same grid")
-        return GridFunction(x.grid, a * x.values + b * y.values)
-    if isinstance(x, DirectSumVector) or isinstance(y, DirectSumVector):
-        if not (isinstance(x, DirectSumVector) and isinstance(y, DirectSumVector)
-                and x.block_dims == y.block_dims):
-            raise ValueError("direct-sum vectors must share block structure")
-        return DirectSumVector([a * bx + b * by for bx, by in zip(x.blocks, y.blocks)])
+    if isinstance(x, _STRUCTURED) or isinstance(y, _STRUCTURED):
+        if not (isinstance(x, _STRUCTURED) and x.same_space(y)):
+            raise ValueError("operands must share one grid or one block structure")
+        return x.with_values(a * x.values + b * y.values)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
@@ -235,34 +253,23 @@ def lincomb(a: float, x, b: float, y):
 
 def zero_like(x):
     """The zero element of the space x lives in."""
-    if isinstance(x, GridFunction):
-        return GridFunction(x.grid, np.zeros(x.grid.n))
-    if isinstance(x, DirectSumVector):
-        return DirectSumVector([np.zeros(d) for d in x.block_dims])
+    if isinstance(x, _STRUCTURED):
+        return x.with_values(np.zeros(x.values.size))
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def flatten_values(x) -> np.ndarray:
     """All numeric entries of a vector-like value as one flat array."""
-    if isinstance(x, GridFunction):
+    if isinstance(x, _STRUCTURED):
         return x.values
-    if isinstance(x, DirectSumVector):
-        return np.concatenate(x.blocks)
     return np.asarray(x, dtype=float).ravel()
 
 
 def unflatten_like(template, flat):
     """Rebuild a vector-like value with the template's structure from flat entries."""
-    flat = np.asarray(flat, dtype=float)
-    if isinstance(template, GridFunction):
+    if isinstance(template, _STRUCTURED):
         return template.with_values(flat)
-    if isinstance(template, DirectSumVector):
-        blocks, start = [], 0
-        for d in template.block_dims:
-            blocks.append(flat[start:start + d])
-            start += d
-        return DirectSumVector(blocks)
-    return flat.reshape(np.asarray(template).shape)
+    return np.asarray(flat, dtype=float).reshape(np.asarray(template).shape)
 
 
 def load_matrix_text(path) -> np.ndarray:

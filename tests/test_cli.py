@@ -81,6 +81,33 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "picard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("op_type, f", [
+        ("affine", {"constant": "x"}),
+        ("affine", [0.5, float("nan")]),
+        ("affine", "missing_f.txt"),
+        ("affine", [0.5, 0.5, 0.5]),
+        ("affine", {"scale": 2.0}),
+        ("gnn", [[0.1, float("nan")], [0.0, 0.0]]),
+        ("gnn", {"blocks": [[0.1, 0.2]]}),
+        ("attention", None),
+    ], ids=["constant-not-numeric", "affine-nan", "missing-file", "wrong-length",
+            "unknown-key", "gnn-nan", "blocks-wrong-shape", "attention-without-f"])
+    def test_bad_free_term_names_f(self, tmp_path, capsys, op_type, f):
+        operator = {
+            "affine": {"type": "affine", "A": [[0.4, 0.1], [0.0, 0.5]]},
+            "gnn": {"type": "gnn", "graph": {"n": 2, "edges": [[0, 1]]},
+                    "W": [[0.1, 0.0], [0.0, 0.1]]},
+            "attention": {"type": "attention", "Wq": [[0.1]], "Wk": [[0.1]], "Wv": [[0.1]]},
+        }[op_type]
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": operator, "f": f,
+            "picard": {"lambda": 1.0, "epsilon": 1e-8, "max_iter": 10},
+        })
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert "'f'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from picardop import (
     AffineOperator,
@@ -10,12 +12,8 @@ from picardop import (
     GridFunction,
     HammersteinOperator,
     apply,
-    attention_apply,
-    gnn_aggregate,
     graph_from_edgelist,
     grid_uniform,
-    hammerstein_apply,
-    lambda_shift,
     make_kernel,
     neighborhood_membership_counts,
     operator_from_config,
@@ -78,13 +76,13 @@ class TestAttention:
     def test_zero_input(self):
         rng = np.random.default_rng(4)
         op = AttentionOperator(*rng.standard_normal((3, 2, 2)))
-        assert np.array_equal(attention_apply(op, np.zeros((4, 2))), np.zeros((4, 2)))
+        assert np.array_equal(apply(op, np.zeros((4, 2))), np.zeros((4, 2)))
 
     def test_single_token_cube(self):
         op = AttentionOperator([[1.0]], [[1.0]], [[1.0]])
-        assert np.allclose(attention_apply(op, np.array([[2.0]])), [[8.0]])
+        assert np.allclose(apply(op, np.array([[2.0]])), [[8.0]])
         y = -1.7
-        assert np.allclose(attention_apply(op, np.array([[y]])), [[y ** 3]])
+        assert np.allclose(apply(op, np.array([[y]])), [[y ** 3]])
 
     def test_degree_three_homogeneity(self):
         rng = np.random.default_rng(5)
@@ -92,36 +90,36 @@ class TestAttention:
         for _ in range(50):
             Y = rng.standard_normal((4, 3))
             c = rng.uniform(-2, 2)
-            lhs = attention_apply(op, c * Y)
-            rhs = c ** 3 * attention_apply(op, Y)
+            lhs = apply(op, c * Y)
+            rhs = c ** 3 * apply(op, Y)
             scale = max(np.abs(rhs).max(), 1e-30)
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
     def test_dimension_mismatch(self):
         op = AttentionOperator(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            attention_apply(op, np.ones((3, 4)))
+            apply(op, np.ones((3, 4)))
 
 
 class TestHammerstein:
     def test_zero_kernel(self):
         g = grid_uniform(0, 1, 11)
         op = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 0]))
-        out = hammerstein_apply(op, GridFunction(g, np.ones(11)))
+        out = apply(op, GridFunction(g, np.ones(11)))
         assert np.array_equal(out.values, np.zeros(11))
 
     def test_product_kernel_constant_input(self):
         # K(t,s) = t*s against y = 1: integral of t*s over s in [0,1] is t/2
         g = grid_uniform(0, 1, 1001)
         op = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 1]))
-        out = hammerstein_apply(op, GridFunction(g, np.ones(g.n)))
+        out = apply(op, GridFunction(g, np.ones(g.n)))
         assert np.max(np.abs(out.values - g.points / 2)) <= 1e-6
 
     def test_product_kernel_linear_input(self):
         # y(s) = s: integral of t*s^2 over [0,1] is t/3
         g = grid_uniform(0, 1, 1001)
         op = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 1]))
-        out = hammerstein_apply(op, GridFunction(g, g.points))
+        out = apply(op, GridFunction(g, g.points))
         assert np.max(np.abs(out.values - g.points / 3)) <= 1e-6
 
     def test_linear_kernel_is_linear_operator(self):
@@ -132,8 +130,8 @@ class TestHammerstein:
             y1 = GridFunction(g, rng.standard_normal(g.n))
             y2 = GridFunction(g, rng.standard_normal(g.n))
             a, b = rng.uniform(-3, 3, 2)
-            combined = hammerstein_apply(op, GridFunction(g, a * y1.values + b * y2.values))
-            split = a * hammerstein_apply(op, y1).values + b * hammerstein_apply(op, y2).values
+            combined = apply(op, GridFunction(g, a * y1.values + b * y2.values))
+            split = a * apply(op, y1).values + b * apply(op, y2).values
             scale = max(np.abs(split).max(), 1e-30)
             assert np.abs(combined.values - split).max() <= 1e-10 * scale
 
@@ -144,13 +142,13 @@ class TestHammerstein:
         rng = np.random.default_rng(13)
         for scale in (0.1, 1.0, 100.0, 1e6):
             y = GridFunction(g, scale * rng.standard_normal(g.n))
-            out = hammerstein_apply(op, y)
+            out = apply(op, y)
             assert np.all(np.abs(out.values) <= bound + 1e-12)
 
     def test_simpson_grid_integrates_smooth_kernel(self):
         g = grid_uniform(0, 1, 101, rule="simpson")
         op = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 1]))
-        out = hammerstein_apply(op, GridFunction(g, g.points ** 2))
+        out = apply(op, GridFunction(g, g.points ** 2))
         # integral of t*s^3 over [0,1] is t/4; Simpson is exact on cubics
         assert np.max(np.abs(out.values - g.points / 4)) <= 1e-12
 
@@ -160,15 +158,15 @@ class TestHammerstein:
         op_table = HammersteinOperator(g, make_kernel("table", table=table))
         op_sep = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 1]))
         y = GridFunction(g, np.sin(g.points))
-        assert np.allclose(hammerstein_apply(op_table, y).values,
-                           hammerstein_apply(op_sep, y).values, atol=1e-14)
+        assert np.allclose(apply(op_table, y).values,
+                           apply(op_sep, y).values, atol=1e-14)
 
     def test_wrong_grid_rejected(self):
         g = grid_uniform(0, 1, 11)
         op = HammersteinOperator(g, make_kernel("separable-linear"))
         other = GridFunction(grid_uniform(0, 1, 21), np.ones(21))
         with pytest.raises(ValueError):
-            hammerstein_apply(op, other)
+            apply(op, other)
 
 
 class TestGraph:
@@ -217,26 +215,26 @@ class TestGnnAggregate:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         op = GnnAggregateOperator(g, rng.standard_normal((3, 3)))
         F = DirectSumVector([np.zeros(3)] * 4)
-        out = gnn_aggregate(op, F)
+        out = apply(op, F)
         assert all(np.array_equal(b, np.zeros(3)) for b in out.blocks)
 
     def test_two_node_path_no_self(self):
         g = Graph(2, [(0, 1)], include_self=False)
         op = GnnAggregateOperator(g, np.eye(2))
-        out = gnn_aggregate(op, DirectSumVector([[1.0, -1.0], [-2.0, 3.0]]))
+        out = apply(op, DirectSumVector([[1.0, -1.0], [-2.0, 3.0]]))
         assert np.array_equal(out.blocks[0], [0.0, 3.0])
         assert np.array_equal(out.blocks[1], [1.0, 0.0])
 
     def test_single_node_with_self(self):
         g = Graph(1, [], include_self=True)
         op = GnnAggregateOperator(g, np.eye(2))
-        out = gnn_aggregate(op, DirectSumVector([[-1.0, 2.0]]))
+        out = apply(op, DirectSumVector([[-1.0, 2.0]]))
         assert np.array_equal(out.blocks[0], [0.0, 2.0])
 
     def test_isolated_node_zero_block(self):
         g = Graph(3, [(0, 1)], include_self=False)
         op = GnnAggregateOperator(g, np.eye(2))
-        out = gnn_aggregate(op, DirectSumVector([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]]))
+        out = apply(op, DirectSumVector([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]]))
         assert np.array_equal(out.blocks[2], [0.0, 0.0])
 
     def test_monotone_for_identity_weights(self):
@@ -245,42 +243,37 @@ class TestGnnAggregate:
         op = GnnAggregateOperator(g, np.eye(3))
         for _ in range(100):
             F = rng.standard_normal((5, 3))
-            base = gnn_aggregate(op, DirectSumVector.from_matrix(F)).stacked()
+            base = apply(op, DirectSumVector.from_matrix(F)).stacked()
             i, j = rng.integers(0, 5), rng.integers(0, 3)
             F2 = F.copy()
             F2[i, j] += rng.uniform(0, 2)
-            bumped = gnn_aggregate(op, DirectSumVector.from_matrix(F2)).stacked()
+            bumped = apply(op, DirectSumVector.from_matrix(F2)).stacked()
             assert np.all(bumped >= base - 1e-15)
+
+    @given(st.data())
+    def test_matches_per_node_reference(self, data):
+        # integer-valued entries keep every product and sum exact, so the
+        # reference may apply W node by node and still compare with ==
+        n = data.draw(st.integers(1, 7))
+        d = data.draw(st.integers(1, 4))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(n, edges, include_self=data.draw(st.booleans()))
+        entries = st.integers(-8, 8).map(float)
+        W = data.draw(arrays(np.float64, (d, d), elements=entries))
+        F = data.draw(arrays(np.float64, (n, d), elements=entries))
+        out = apply(GnnAggregateOperator(g, W), DirectSumVector.from_matrix(F))
+        assert out.block_dims == (d,) * n
+        for v in range(n):
+            messages = [np.maximum(W @ F[i], 0.0) for i in g.neighborhood(v)]
+            want = np.max(messages, axis=0) if messages else np.zeros(d)
+            assert out.blocks[v].tolist() == want.tolist()
 
     def test_block_count_mismatch(self):
         g = Graph(2, [(0, 1)])
         op = GnnAggregateOperator(g, np.eye(2))
         with pytest.raises(ValueError):
-            gnn_aggregate(op, DirectSumVector([[1.0, 2.0]]))
-
-
-class TestLambdaShift:
-    def test_neutral_shift(self):
-        rng = np.random.default_rng(14)
-        base = AffineOperator(rng.standard_normal((4, 4)), rng.standard_normal(4))
-        shifted = lambda_shift(base, 1.0, np.zeros(4))
-        for _ in range(10):
-            x = rng.standard_normal(4)
-            assert np.allclose(apply(shifted, x), apply(base, x))
-
-    def test_zero_base_gives_constant(self):
-        base = AffineOperator(np.zeros((2, 2)))
-        c = np.array([3.0, -1.0])
-        shifted = lambda_shift(base, 2.5, c)
-        assert np.array_equal(apply(shifted, np.array([9.0, 9.0])), c)
-
-    def test_identity_half_shift(self):
-        shifted = lambda_shift(AffineOperator(np.eye(1)), 0.5, np.array([1.0]))
-        assert np.array_equal(apply(shifted, np.array([4.0])), [3.0])
-
-    def test_zero_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            lambda_shift(AffineOperator(np.eye(2)), 0.0, np.zeros(2))
+            apply(op, DirectSumVector([[1.0, 2.0]]))
 
 
 class TestApply:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from picardop import (
     trace_csv_text,
     uniqueness_check,
 )
-from picardop.errors import DivergenceError
+from picardop.errors import ConfigError, DivergenceError
 from picardop.picard import TRACE_CSV_HEADER
 
 
@@ -95,8 +97,11 @@ class TestPicardSolve:
             picard_solve(op, cfg, np.array([1e200]))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PicardConfig(lam=0.0, epsilon=1e-6, max_iter=10)
+        for lam in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                PicardConfig(lam=lam, epsilon=1e-6, max_iter=10)
+        with pytest.raises(ConfigError):
+            PicardConfig.from_json(json.loads('{"lambda": NaN, "epsilon": 1e-6, "max_iter": 10}'))
         with pytest.raises(ValueError):
             PicardConfig(lam=1.0, epsilon=0.0, max_iter=10)
         with pytest.raises(ValueError):

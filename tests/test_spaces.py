@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from picardop import (
     DirectSumVector,
     Grid,
     GridFunction,
     direct_sum_norm,
+    flatten_values,
     grid_from_json,
     grid_to_json,
     grid_uniform,
@@ -15,6 +18,7 @@ from picardop import (
     load_matrix_text,
     load_vector_text,
     norm,
+    unflatten_like,
     zero_like,
 )
 from picardop.errors import NonFiniteError
@@ -182,6 +186,87 @@ class TestDirectSum:
     def test_stacked_requires_uniform(self):
         with pytest.raises(ValueError):
             DirectSumVector([[1.0], [1.0, 2.0]]).stacked()
+
+
+BLOCK_DIMS = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    st.tuples(st.integers(1, 8), st.integers(0, 5)).map(lambda nd: [nd[1]] * nd[0]),
+)
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def block_lists(draw, dims):
+    return [draw(arrays(np.float64, d, elements=FINITE)) for d in dims]
+
+
+@st.composite
+def direct_sum_pairs(draw):
+    dims = draw(BLOCK_DIMS)
+    return draw(block_lists(dims)), draw(block_lists(dims)), draw(FINITE), draw(FINITE)
+
+
+class TestFlatStorageMatchesPerBlockReference:
+    """The flat-array DirectSumVector against per-block arithmetic, compared with ==."""
+
+    @given(direct_sum_pairs())
+    def test_layout_and_read_only_views(self, case):
+        bx, _, _, _ = case
+        x = DirectSumVector(bx)
+        assert x.block_dims == tuple(b.size for b in bx)
+        assert x.values.tolist() == [v for b in bx for v in b]
+        assert not x.values.flags.writeable
+        for block, ref in zip(x.blocks, bx, strict=True):
+            assert block.tolist() == ref.tolist()
+            assert not block.flags.writeable
+        if x.is_uniform():
+            assert x.stacked().tolist() == [b.tolist() for b in bx]
+
+    @given(direct_sum_pairs())
+    def test_lincomb(self, case):
+        bx, by, a, b = case
+        got = lincomb(a, DirectSumVector(bx), b, DirectSumVector(by))
+        ref = [a * p + b * q for p, q in zip(bx, by)]
+        assert got.block_dims == tuple(r.size for r in ref)
+        assert got.values.tolist() == [v for r in ref for v in r]
+
+    @given(direct_sum_pairs())
+    def test_norms(self, case):
+        bx, _, _, _ = case
+        x = DirectSumVector(bx)
+        entries = [v for b in bx for v in b]
+        assert norm(x, "direct-sum") == sum(np.linalg.norm(b) for b in bx)
+        assert norm(x, "discrete-L2") == np.linalg.norm(np.array(entries))
+        assert norm(x, "sup") == max((abs(v) for v in entries), default=0.0)
+
+    @given(direct_sum_pairs())
+    def test_zero_like_and_flat_round_trip(self, case):
+        bx, by, _, _ = case
+        x = DirectSumVector(bx)
+        zero = zero_like(x)
+        assert zero.block_dims == x.block_dims
+        assert all(not z.any() for z in zero.blocks)
+        flat = flatten_values(x)
+        assert flat.tolist() == [v for b in bx for v in b]
+        back = unflatten_like(x, flat)
+        assert back.block_dims == x.block_dims
+        assert [b.tolist() for b in back.blocks] == [b.tolist() for b in bx]
+        other = unflatten_like(x, np.concatenate(by))
+        assert [b.tolist() for b in other.blocks] == [b.tolist() for b in by]
+
+    def test_rejects_non_finite_once_for_all_blocks(self):
+        with pytest.raises(NonFiniteError):
+            DirectSumVector([[1.0], [2.0, np.inf]])
+        with pytest.raises(NonFiniteError):
+            DirectSumVector.from_matrix([[1.0, 2.0], [np.nan, 0.0]])
+        with pytest.raises(NonFiniteError):
+            DirectSumVector([[1.0], [2.0, 3.0]]).with_values([1.0, np.nan, 3.0])
+
+    def test_with_values_copies_its_input(self):
+        flat = np.array([1.0, 2.0, 3.0])
+        x = DirectSumVector([[0.0], [0.0, 0.0]]).with_values(flat)
+        flat[0] = 9.0
+        assert x.blocks[0].tolist() == [1.0]
 
 
 class TestLincomb:
