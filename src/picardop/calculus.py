@@ -1,14 +1,13 @@
 """Operator differentiation and Lipschitz-constant machinery.
 
 Provides the analytic derivative of the cubic attention map, central
-finite-difference oracles, power-iteration spectral norms, and the
+finite-difference oracles, exact (SVD) spectral norms, and the
 neighborhood-counting contraction certificate for graph aggregation.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,47 +115,16 @@ def frechet_check(op: AttentionOperator, Y, H,
     return FrechetDirectionalResult(analytic, fd, rel, t)
 
 
-def spectral_norm(A, tol: float = 1e-12, max_iter: int = 10000, seed: int = 0) -> float:
-    """Largest singular value by alternating power iteration on A^T A.
-
-    The start vector is drawn from a seeded generator so results are
-    reproducible. On non-convergence the last estimate is returned with a
-    warning.
-    """
+def spectral_norm(A) -> float:
+    """Largest singular value of A (exact, from the SVD); 0.0 for the zero matrix."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-D matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("A must have finite entries")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     if not A.any():
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    sigma_old = 0.0
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        wn = np.linalg.norm(w)
-        if wn == 0:
-            # v fell in the null space; re-seed the direction
-            v = rng.standard_normal(A.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        u = w / wn
-        z = A.T @ u
-        sigma = float(np.linalg.norm(z))
-        if sigma == 0:
-            return 0.0
-        v = z / sigma
-        if abs(sigma - sigma_old) <= tol * max(sigma, 1e-300):
-            return sigma
-        sigma_old = sigma
-    warnings.warn(f"spectral norm power iteration did not converge in {max_iter} "
-                  f"iterations; returning last estimate {sigma:g}")
-    return sigma
+    return float(np.linalg.norm(A, 2))
 
 
 def lipschitz_sample(op, sampler, n_pairs: int, seed: int = 0,

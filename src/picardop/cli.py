@@ -1,7 +1,9 @@
 """Command-line runner tying configs, operators, solvers, and reports together.
 
 Exit codes: 0 converged / success, 1 config error, 2 stopped at max_iter
-without converging, 3 divergence.
+without converging, 3 divergence. A command writes ``manifest.json`` exactly
+when it returns an exit code, so a config error leaves no manifest. ``sweep``
+exits 1 if any sub-run had a config error, else with its highest sub-run code.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -109,66 +110,81 @@ def _resolve_free_term(entry, op, base_dir: str):
     return wrap(values)
 
 
-def _solve_setup(cfg: dict, base_dir: str):
+def _number(field: str, value, need: str, valid, cast=float):
+    """``value`` converted by ``cast``; a ConfigError naming ``field`` unless finite and valid."""
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not math.isfinite(number) or not valid(number):
+        raise ConfigError(field, f"must be {need}, got {value!r}")
+    return number
+
+
+def _operator(cfg: dict, base_dir: str, expected_type=None):
+    """The config's operator, required to be an ``expected_type`` when one is given."""
     if "operator" not in cfg:
         raise ConfigError("operator", "missing section")
+    op = operator_from_config(cfg["operator"], base_dir)
+    if expected_type is not None and not isinstance(op, expected_type):
+        raise ConfigError("operator.type", f"expected {expected_type.__name__}, "
+                                           f"got {type(op).__name__}")
+    return op
+
+
+def _solve_setup(cfg: dict, base_dir: str):
+    op = _operator(cfg, base_dir)
     if "picard" not in cfg:
         raise ConfigError("picard", "missing section")
-    op = operator_from_config(cfg["operator"], base_dir)
     pcfg = PicardConfig.from_json(cfg["picard"])
     f = _resolve_free_term(cfg.get("f"), op, base_dir)
     return op, pcfg, f
 
 
-def cmd_solve(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -> int:
+def cmd_solve(cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Run a fixed-point solve and write trace + summary."""
     op, pcfg, f = _solve_setup(cfg, base_dir)
-    _write_manifest(out_dir, "solve", cfg, seed)
     try:
         solution, trace = picard_solve(op, pcfg, f)
+        error = None
     except DivergenceError as exc:
-        trace = exc.trace
-        write_text_atomic(out_dir / "trace.csv", trace_csv_text(trace))
-        write_json_atomic(out_dir / "summary.json", {
-            "converged": False,
-            "diverged": True,
-            "iterations_used": trace.iterations_used,
-            "final_residual": None,
-            "error": str(exc),
-        })
-        if not quiet:
-            print(f"diverged after {trace.iterations_used} iterations: {exc}")
-        return EXIT_DIVERGED
-    final_residual = residual(op, pcfg.lam, f, solution, pcfg.norm_kind)
-    write_text_atomic(out_dir / "trace.csv", trace_csv_text(trace))
-    write_json_atomic(out_dir / "summary.json", {
+        trace, error = exc.trace, str(exc)
+    summary = {
         "converged": trace.converged,
-        "diverged": False,
+        "diverged": error is not None,
         "iterations_used": trace.iterations_used,
-        "final_residual": final_residual,
-    })
-    if not quiet:
-        status = "converged" if trace.converged else "max_iter reached"
-        print(f"{status} after {trace.iterations_used} iterations, "
-              f"residual {final_residual:.3e}")
-    return EXIT_OK if trace.converged else EXIT_MAX_ITER
+        "final_residual": None if error else residual(op, pcfg.lam, f, solution,
+                                                      pcfg.norm_kind),
+    }
+    if error:
+        summary["error"] = error
+    write_text_atomic(out_dir / "trace.csv", trace_csv_text(trace))
+    write_json_atomic(out_dir / "summary.json", summary)
+    if error:
+        return EXIT_DIVERGED, f"diverged after {trace.iterations_used} iterations: {error}"
+    status = "converged" if trace.converged else "max_iter reached"
+    return (EXIT_OK if trace.converged else EXIT_MAX_ITER,
+            f"{status} after {trace.iterations_used} iterations, "
+            f"residual {summary['final_residual']:.3e}")
 
 
-def cmd_rates(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -> int:
+def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Per-iteration error bounds against a high-accuracy reference."""
     op, pcfg, f = _solve_setup(cfg, base_dir)
     rates_cfg = cfg.get("rates", {})
     k_T = rates_cfg.get("k")
     if k_T is None:
-        if isinstance(op, AffineOperator):
-            k_T = spectral_norm(op.A)
-        else:
+        if not isinstance(op, AffineOperator):
             raise ConfigError("rates.k", "a Lipschitz constant is required for "
                                          "non-affine operators")
-    k_T = float(k_T)
+        k_T = spectral_norm(op.A)
+    k_T = _number("rates.k", k_T, "a non-negative number", lambda k: k >= 0)
     k_map = pcfg.smoothing + (1.0 - pcfg.smoothing) * abs(pcfg.lam) * k_T
     if k_map >= 1:
         raise ConfigError("rates.k", f"iteration map constant {k_map:.6g} is >= 1; "
                                      "rate bounds need a contraction")
-    ref_eps = float(rates_cfg.get("reference_epsilon", 1e-13))
+    ref_eps = _number("rates.reference_epsilon", rates_cfg.get("reference_epsilon", 1e-13),
+                      "a positive number", lambda eps: eps > 0)
     ref_cfg = PicardConfig(lam=pcfg.lam, epsilon=ref_eps,
                            max_iter=max(10 * pcfg.max_iter, 10000),
                            smoothing=pcfg.smoothing, norm_kind=pcfg.norm_kind)
@@ -182,37 +198,29 @@ def cmd_rates(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -
         "contraction_constant": k_map,
         "final_residual": residual(op, pcfg.lam, f, solution, pcfg.norm_kind),
     })
-    _write_manifest(out_dir, "rates", cfg, seed)
-    if not quiet:
-        print(f"rate bounds over {trace.iterations_used} iterations at k={k_map:.4g}")
-    return EXIT_OK if trace.converged else EXIT_MAX_ITER
+    return (EXIT_OK if trace.converged else EXIT_MAX_ITER,
+            f"rate bounds over {trace.iterations_used} iterations at k={k_map:.4g}")
 
 
-def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, quiet: bool,
-                      base_dir: str) -> int:
-    if "operator" not in cfg:
-        raise ConfigError("operator", "missing section")
-    op = operator_from_config(cfg["operator"], base_dir)
-    if not isinstance(op, AttentionOperator):
-        raise ConfigError("operator.type", "frechet-check needs an attention operator")
+def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Compare the analytic attention derivative with finite differences."""
+    op = _operator(cfg, base_dir, AttentionOperator)
     check = cfg.get("check", {})
-    n_samples = int(check.get("n_samples", 100))
-    rows = int(check.get("rows", op.d))
-    t = float(check.get("t", 1e-5))
-    t_order = float(check.get("order_t", 1e-3))
+    n_samples = _number("check.n_samples", check.get("n_samples", 100),
+                        "a positive integer", lambda n: n >= 1, int)
+    rows = _number("check.rows", check.get("rows", op.d),
+                   "a positive integer", lambda n: n >= 1, int)
+    t = _number("check.t", check.get("t", 1e-5), "a positive number", lambda v: v > 0)
+    t_order = _number("check.order_t", check.get("order_t", 1e-3),
+                      "a positive number", lambda v: v > 0)
     rng = np.random.default_rng(seed)
-
-    def _unit_pair():
+    max_rel = 0.0
+    errors_t, errors_half = [], []
+    for _ in range(n_samples):
         Y = rng.standard_normal((rows, op.d))
         H = rng.standard_normal((rows, op.d))
         Y *= rng.uniform(0.5, 1.0) / np.linalg.norm(Y)
         H *= rng.uniform(0.5, 1.0) / np.linalg.norm(H)
-        return Y, H
-
-    max_rel = 0.0
-    errors_t, errors_half = [], []
-    for _ in range(n_samples):
-        Y, H = _unit_pair()
         max_rel = max(max_rel, frechet_check(op, Y, H, t=t).rel_error)
         e1 = frechet_check(op, Y, H, t=t_order)
         e2 = frechet_check(op, Y, H, t=t_order / 2)
@@ -232,18 +240,12 @@ def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, quiet: bool,
         },
     }
     write_json_atomic(out_dir / "frechet_report.json", report)
-    _write_manifest(out_dir, "frechet-check", cfg, seed)
-    if not quiet:
-        print(f"max rel error {max_rel:.3e}; halving t scales error by 1/{ratio:.2f}")
-    return EXIT_OK
+    return EXIT_OK, f"max rel error {max_rel:.3e}; halving t scales error by 1/{ratio:.2f}"
 
 
-def cmd_gnn_cert(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -> int:
-    if "operator" not in cfg:
-        raise ConfigError("operator", "missing section")
-    op = operator_from_config(cfg["operator"], base_dir)
-    if not isinstance(op, GnnAggregateOperator):
-        raise ConfigError("operator.type", "gnn-cert needs a gnn operator")
+def cmd_gnn_cert(cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Contraction certificate for a graph aggregation operator."""
+    op = _operator(cfg, base_dir, GnnAggregateOperator)
     report = gnn_lipschitz_report(op)
     certificate = {
         "L": report.L,
@@ -255,23 +257,22 @@ def cmd_gnn_cert(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str
     }
     target = cfg.get("target")
     if target is not None:
-        W2 = rescale_to_contraction(op.W, report.alpha_max, float(target))
+        target = _number("target", target, "a number in (0, 1)", lambda v: 0 < v < 1)
+        W2 = rescale_to_contraction(op.W, report.alpha_max, target)
         w_path = out_dir / "rescaled_W.txt"
         write_text_atomic(w_path, "\n".join(
             " ".join(repr(float(x)) for x in row) for row in W2) + "\n")
         rescaled = gnn_lipschitz_report(GnnAggregateOperator(op.graph, W2))
         certificate["rescaled_W_path"] = str(w_path)
         certificate["rescaled_product"] = rescaled.product
-        certificate["target"] = float(target)
+        certificate["target"] = target
     write_json_atomic(out_dir / "certificate.json", certificate)
-    _write_manifest(out_dir, "gnn-cert", cfg, seed)
-    if not quiet:
-        print(f"L={report.L:.4g} alpha_max={report.alpha_max} "
-              f"product={report.product:.4g} certified={report.certified}")
-    return EXIT_OK
+    return EXIT_OK, (f"L={report.L:.4g} alpha_max={report.alpha_max} "
+                     f"product={report.product:.4g} certified={report.certified}")
 
 
-def cmd_pign(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -> int:
+def cmd_pign(cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Iterated message-passing experiment on synthetic graphs."""
     seeds = cfg.get("seeds", [seed])
     results = run_pign_experiment(cfg, seeds, csv_path=out_dir / "pign_report.csv")
     summary = {
@@ -282,11 +283,8 @@ def cmd_pign(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) ->
         "mean_baseline_accuracy": float(np.mean([r.baseline_accuracy for r in results])),
     }
     write_json_atomic(out_dir / "summary.json", summary)
-    _write_manifest(out_dir, "pign", cfg, seed)
-    if not quiet:
-        print(f"pign {summary['mean_pign_accuracy']:.3f} vs baseline "
-              f"{summary['mean_baseline_accuracy']:.3f} over {len(seeds)} seeds")
-    return EXIT_OK
+    return EXIT_OK, (f"pign {summary['mean_pign_accuracy']:.3f} vs baseline "
+                     f"{summary['mean_baseline_accuracy']:.3f} over {len(seeds)} seeds")
 
 
 def _set_dotted(cfg: dict, dotted: str, value) -> None:
@@ -301,7 +299,8 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -> int:
+def cmd_sweep(cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Repeat solve, rates or pign over a list of values for one config field."""
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep", "missing section")
@@ -311,36 +310,25 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, quiet: bool, base_dir: str) -
     command = sweep["command"]
     if command not in ("solve", "rates", "pign"):
         raise ConfigError("sweep.command", f"cannot sweep {command!r}")
-    runner = COMMANDS[command]
+    if not isinstance(sweep["values"], list):
+        raise ConfigError("sweep.values", "must be a list")
     base = {k: v for k, v in cfg.items() if k != "sweep"}
-    values = sweep["values"]
-    threads = max(1, int(os.environ.get("PICARD_OP_THREADS", "1") or 1))
-
-    def _one(item):
-        idx, value = item
+    lines, codes = ["index,value,exit_code"], []
+    for idx, value in enumerate(sweep["values"]):
         sub_cfg = copy.deepcopy(base)
         _set_dotted(sub_cfg, sweep["field"], value)
         run_dir = out_dir / "runs" / f"{idx:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            code = runner(sub_cfg, run_dir, seed, True, base_dir)
-        except ConfigError as exc:
+            code, _ = _run(command, sub_cfg, run_dir, seed, base_dir)
+        except (ConfigError, DivergenceError) as exc:
             write_json_atomic(run_dir / "summary.json", {"error": str(exc)})
-            return idx, value, EXIT_CONFIG
-        return idx, value, code
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(_one, enumerate(values)))
-    rows.sort()
-    lines = ["index,value,exit_code"]
-    for idx, value, code in rows:
+            code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DIVERGED
+        codes.append(code)
         lines.append(f"{idx},{json.dumps(value)},{code}")
     write_text_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
-    _write_manifest(out_dir, "sweep", cfg, seed)
-    if not quiet:
-        print(f"swept {sweep['field']} over {len(values)} values "
-              f"(threads={threads})")
-    return EXIT_CONFIG if any(code == EXIT_CONFIG for _, _, code in rows) else EXIT_OK
+    code = EXIT_CONFIG if EXIT_CONFIG in codes else max(codes, default=EXIT_OK)
+    return code, f"swept {sweep['field']} over {len(codes)} values"
 
 
 COMMANDS = {
@@ -353,25 +341,27 @@ COMMANDS = {
 }
 
 
+def _run(command: str, cfg: dict, out_dir: Path, seed: int, base_dir: str):
+    """Run one command, then write its manifest; returns (exit code, status line)."""
+    code, status = COMMANDS[command](cfg, out_dir, seed, base_dir)
+    _write_manifest(out_dir, command, cfg, seed)
+    return code, status
+
+
 def build_parser() -> argparse.ArgumentParser:
+    epilog = "commands:\n" + "\n".join(
+        f"  {name:14s} {fn.__doc__.splitlines()[0]}" for name, fn in COMMANDS.items())
     parser = argparse.ArgumentParser(
-        prog="picard-op",
-        description="Fixed-point operator equation runner: solve lambda*T(x) + f = x "
+        prog="picard-op", epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Fixed-point operator equation runner: solve lambda*T(x) + f = x\n"
                     "and report convergence diagnostics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "run a fixed-point solve and write trace + summary"),
-        ("rates", "per-iteration error bounds against a high-accuracy reference"),
-        ("frechet-check", "compare analytic attention derivative with finite differences"),
-        ("gnn-cert", "contraction certificate for a graph aggregation operator"),
-        ("pign", "iterated message-passing experiment on synthetic graphs"),
-        ("sweep", "repeat a command over a list of values for one config field"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
-        p.add_argument("--quiet", action="store_true", help="suppress status output")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    parser.add_argument("--quiet", action="store_true", help="suppress status output")
     return parser
 
 
@@ -382,16 +372,16 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         base_dir = os.path.dirname(os.path.abspath(args.config))
-        return COMMANDS[args.command](cfg, out_dir, args.seed, args.quiet, base_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        code, status = _run(args.command, cfg, out_dir, args.seed, base_dir)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"error: iteration diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    if not args.quiet:
+        print(status)
+    return code
 
 
 if __name__ == "__main__":

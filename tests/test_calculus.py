@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from picardop import (
     AffineOperator,
@@ -135,12 +137,10 @@ class TestSpectralNorm:
             s = spectral_norm(A)
             assert s ** 2 == pytest.approx(spectral_norm(A.T @ A), rel=1e-8)
 
-    def test_warns_on_non_convergence(self):
-        rng = np.random.default_rng(68)
-        A = rng.standard_normal((30, 30))
-        with pytest.warns(UserWarning):
-            value = spectral_norm(A, tol=1e-16, max_iter=1)
-        assert value > 0
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.floats(-1e3, 1e3)))
+    def test_equals_largest_singular_value(self, A):
+        assert spectral_norm(A) == np.linalg.svd(A, compute_uv=False)[0]
 
 
 class TestLipschitzSample:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -229,8 +230,7 @@ class TestPignCommand:
 
 
 class TestSweepCommand:
-    def test_sweep_solve_over_lambda(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PICARD_OP_THREADS", "2")
+    def test_sweep_solve_over_lambda(self, tmp_path):
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(CONFIGS / "sweep_lambda.json"),
                      "--out", str(out), "--quiet"])
@@ -241,6 +241,27 @@ class TestSweepCommand:
         for i in range(4):
             run_summary = out / "runs" / f"{i:03d}" / "summary.json"
             assert json.loads(run_summary.read_text())["converged"] is True
+
+    @pytest.mark.parametrize("command, values, codes, want", [
+        ("solve", [0.1, 1.0], [0, 3], 3),
+        ("solve", [0.1, 1.0, 0.0], [0, 3, 1], 1),
+        ("rates", [0.1, 1.0], [0, 3], 3),
+    ], ids=["divergence-is-highest", "config-error-wins", "rates-divergence-recorded"])
+    def test_exit_code_summarises_sub_runs(self, tmp_path, command, values, codes, want):
+        # rates.k understates the true constant 2*lambda, so at lambda=1 the
+        # reference solve of rates diverges instead of failing the k check
+        cfg = write_config(tmp_path, "c.json", {
+            "sweep": {"command": command, "field": "picard.lambda", "values": values},
+            "operator": {"type": "affine", "A": [[2.0]], "b": [0.0]},
+            "f": [1.0],
+            "picard": {"lambda": 0.1, "epsilon": 1e-10, "max_iter": 1000},
+            "rates": {"k": 0.1},
+        })
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == want
+        rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[-1]) for row in rows] == codes
+        assert (out / "manifest.json").exists()
 
     def test_bad_field_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -260,13 +281,61 @@ class TestDeterminism:
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outs[0] == outs[1]
 
-    def test_manifest_contents(self, tmp_path):
-        cfg_obj = affine_solve_config()
-        cfg = write_config(tmp_path, "c.json", cfg_obj)
+    @pytest.mark.parametrize("command, config", [
+        ("solve", "affine_solve.json"),
+        ("rates", "scalar_rates.json"),
+        ("frechet-check", "attention_frechet.json"),
+        ("gnn-cert", "gnn_cert.json"),
+        ("pign", "pign_noise.json"),
+    ], ids=["solve", "rates", "frechet-check", "gnn-cert", "pign"])
+    def test_manifest_contents(self, tmp_path, command, config):
         out = tmp_path / "out"
-        main(["solve", "--config", cfg, "--out", str(out), "--seed", "11", "--quiet"])
+        assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                     "--seed", "11", "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "solve"
+        assert manifest["command"] == command
         assert manifest["seed"] == 11
-        assert manifest["config"] == cfg_obj
+        assert manifest["config"] == json.loads((CONFIGS / config).read_text())
         assert manifest["version"]
+
+    def test_sweep_sub_run_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        main(["sweep", "--config", str(CONFIGS / "sweep_lambda.json"), "--out", str(out),
+              "--seed", "11", "--quiet"])
+        manifest = json.loads((out / "runs" / "000" / "manifest.json").read_text())
+        sweep_cfg = json.loads((CONFIGS / "sweep_lambda.json").read_text())
+        assert manifest["command"] == "solve"
+        assert "sweep" not in manifest["config"]
+        assert manifest["config"]["picard"]["lambda"] == sweep_cfg["sweep"]["values"][0]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    for command in ("solve", "rates", "frechet-check", "gnn-cert", "pign", "sweep"):
+        assert f"\n  {command} " in help_text
+
+
+@pytest.mark.parametrize("command, config, overrides, field", [
+    ("gnn-cert", "gnn_cert.json", {"target": 1.5}, "target"),
+    ("frechet-check", "attention_frechet.json", {"check": {"n_samples": 0}},
+     "check.n_samples"),
+    ("rates", "scalar_rates.json", {"rates": {"reference_epsilon": -1}},
+     "rates.reference_epsilon"),
+    ("rates", "scalar_rates.json", {"rates": {"k": "abc"}}, "rates.k"),
+    ("frechet-check", "attention_frechet.json", {"check": {"t": 0}}, "check.t"),
+    ("sweep", "sweep_lambda.json",
+     {"sweep": {"command": "solve", "field": "picard.lambda", "values": 0.5}},
+     "sweep.values"),
+], ids=["target-above-one", "zero-samples", "negative-reference-epsilon",
+        "non-numeric-k", "zero-step", "values-not-a-list"])
+def test_bad_value_names_field(tmp_path, capsys, command, config, overrides, field):
+    shutil.copytree(CONFIGS / "data", tmp_path / "data")  # relative paths resolve
+    cfg = {**json.loads((CONFIGS / config).read_text()), **overrides}
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not any(out.iterdir())
