@@ -36,12 +36,14 @@ from .operators import (
 )
 from .picard import PicardConfig, banach_bounds, picard_solve, residual, trace_csv_text
 from .pign import run_pign_experiment
-from .spaces import DirectSumVector, GridFunction, load_matrix_text
+from .spaces import DirectSumVector, GridFunction, load_matrix_text, norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MAX_ITER = 2
 EXIT_DIVERGED = 3
+# rounding allowance (~4500 eps, relative) when rates compares errors with bounds
+RATES_ROUNDING = 1e-12
 
 
 def _load_config(path) -> dict:
@@ -188,9 +190,22 @@ def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     ref_cfg = PicardConfig(lam=pcfg.lam, epsilon=ref_eps,
                            max_iter=max(10 * pcfg.max_iter, 10000),
                            smoothing=pcfg.smoothing, norm_kind=pcfg.norm_kind)
-    reference, _ = picard_solve(op, ref_cfg, f)
+    reference, ref_trace = picard_solve(op, ref_cfg, f)
     solution, trace = picard_solve(op, pcfg, f, record_iterates=True)
     bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=pcfg.norm_kind)
+    # The reference lies within its a posteriori bound of the fixed point, and
+    # contracting float iterates settle within ~eps * (|x| + |f|) / (1 - k) of it.
+    scale = norm(reference, pcfg.norm_kind) + norm(f, pcfg.norm_kind)
+    slack = (k_map * ref_trace.final_step + RATES_ROUNDING * scale) / (1.0 - k_map)
+    for rec in bounds:
+        for kind, bound in (("a priori", rec.apriori_bound),
+                            ("a posteriori", rec.aposteriori_bound)):
+            if (bound is not None
+                    and rec.actual_error > bound * (1.0 + RATES_ROUNDING) + slack):
+                raise ConfigError("rates.k", (
+                    f"iteration map constant {k_map:.6g} understates the contraction: "
+                    f"at iterate {rec.n} the actual error {rec.actual_error:.6g} "
+                    f"exceeds the {kind} bound {bound:.6g}"))
     write_text_atomic(out_dir / "rates.csv", trace_csv_text(trace, bounds))
     write_json_atomic(out_dir / "summary.json", {
         "converged": trace.converged,

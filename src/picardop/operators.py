@@ -6,6 +6,7 @@ types from :mod:`picardop.spaces`. Solvers consume ``lambda*T(x) + f`` shifts.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -102,6 +103,12 @@ class SeparableLinearKernel:
         c0, c1, c2, c3 = self.params
         return c0 + c1 * t[:, None] + c2 * s[None, :] + c3 * t[:, None] * s[None, :]
 
+    def factors(self, t: np.ndarray, s: np.ndarray):
+        """Rank-2 factors U (len(t) x 2) and V (len(s) x 2): U @ V.T is weight_matrix(t, s)."""
+        c0, c1, c2, c3 = self.params
+        return (np.column_stack((c0 + c1 * t, c2 + c3 * t)),
+                np.column_stack((np.ones_like(s), s)))
+
     def __call__(self, y_val: float, t: float, s: float) -> float:
         c0, c1, c2, c3 = self.params
         return (c0 + c1 * t + c2 * s + c3 * t * s) * self.nonlinearity(y_val)
@@ -149,25 +156,47 @@ def make_kernel(name: str, params=None, table=None):
 
 
 class HammersteinOperator:
-    """Quadrature integral operator: output(t_i) = sum_j w_j * G(y(s_j), t_i, s_j)."""
+    """Quadrature integral operator: output(t_i) = sum_j w_j * G(y(s_j), t_i, s_j).
+
+    Separable kernels apply through their rank-2 factors, U @ (phi @ Vw) with
+    the weights folded into Vw, in O(n) time and memory; the n x n weight
+    matrix ``_K`` is built only on request. Table kernels apply ``_K``.
+    """
 
     def __init__(self, grid: Grid, kernel):
         self.grid = grid
         self.kernel = kernel
-        # kernel weights are fixed by the grid, so evaluate them once
-        self._K = kernel.weight_matrix(grid.points, grid.points)
-        if self._K.shape != (grid.n, grid.n):
-            raise ValueError("kernel weight matrix does not match the grid")
-        if not np.all(np.isfinite(self._K)):
+        if isinstance(kernel, SeparableLinearKernel):
+            U, V = kernel.factors(grid.points, grid.points)
+            Vw = V * grid.weights[:, None]
+            U.setflags(write=False)
+            Vw.setflags(write=False)
+            self._factors = (U, Vw)
+            # K is bilinear in (t, s), so its largest |K| on the grid is at a corner
+            ends = grid.points[[0, -1]]
+            checked = (kernel.weight_matrix(ends, ends), U, Vw)
+        else:
+            self._factors = None
+            if self._K.shape != (grid.n, grid.n):
+                raise ValueError("kernel weight matrix does not match the grid")
+            checked = (self._K,)
+        if not all(np.all(np.isfinite(M)) for M in checked):
             raise ValueError("kernel evaluates to non-finite values on the grid")
+
+    @functools.cached_property
+    def _K(self) -> np.ndarray:
+        """The dense n x n kernel weight matrix K[i, j] = K(t_i, s_j)."""
+        return self.kernel.weight_matrix(self.grid.points, self.grid.points)
 
     def __call__(self, y: GridFunction) -> GridFunction:
         if not isinstance(y, GridFunction) or not y.grid.matches(self.grid):
             raise ValueError("input must be a GridFunction on the operator's grid")
         phi = self.kernel.nonlinearity(y.values)
-        out = self._K @ (self.grid.weights * phi)
-        if not np.all(np.isfinite(out)):
-            raise DivergenceError("integral operator produced non-finite values")
+        if self._factors is None:
+            out = self._K @ (self.grid.weights * phi)
+        else:
+            U, Vw = self._factors
+            out = U @ (phi @ Vw)
         return GridFunction(self.grid, out)
 
 
@@ -292,13 +321,15 @@ def apply(op, x):
     """Evaluate an operator on a vector-like input.
 
     Non-finite output is reported as a DivergenceError so the solver can fail
-    loudly when a map blows up.
+    loudly when a map blows up. Grid functions and direct sums are checked
+    when they are built; any other output is checked here.
     """
     try:
         out = op(x)
     except NonFiniteError as exc:
         raise DivergenceError(str(exc)) from exc
-    if not np.all(np.isfinite(flatten_values(out))):
+    if (not isinstance(out, (GridFunction, DirectSumVector))
+            and not np.all(np.isfinite(flatten_values(out)))):
         raise DivergenceError("operator produced non-finite output")
     return out
 

@@ -169,6 +169,32 @@ class TestRatesCommand:
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "rates.k" in capsys.readouterr().err
 
+    def test_understated_k_is_config_error(self, tmp_path, capsys):
+        # the true constant of T(x) = 2x is 2, so k = 0.1 at lambda = 0.1 claims
+        # a map constant of 0.01 where the iterates contract by 0.2
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": [[2.0]], "b": [0.0]},
+            "f": [1.0],
+            "picard": {"lambda": 0.1, "epsilon": 1e-10, "max_iter": 1000},
+            "rates": {"k": 0.1},
+        })
+        out = tmp_path / "o"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "rates.k" in err and "iterate 0" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("a, b, f", [(0.7, 100.0, 0.0), (0.15, 3.3, -106.6)])
+    def test_exact_k_accepted_up_to_rounding(self, tmp_path, a, b, f):
+        # the default k = |a| is exact, so the bounds are tight and rounding
+        # alone puts some actual errors a few ulps above them
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": [[a]], "b": [b]},
+            "f": [f],
+            "picard": {"lambda": 1.0, "epsilon": 1e-11, "max_iter": 5000},
+        })
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
     def test_non_affine_needs_k_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "operator": {"type": "hammerstein",
@@ -245,11 +271,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("command, values, codes, want", [
         ("solve", [0.1, 1.0], [0, 3], 3),
         ("solve", [0.1, 1.0, 0.0], [0, 3, 1], 1),
-        ("rates", [0.1, 1.0], [0, 3], 3),
+        ("rates", [0.1, 1.0], [1, 3], 1),
     ], ids=["divergence-is-highest", "config-error-wins", "rates-divergence-recorded"])
     def test_exit_code_summarises_sub_runs(self, tmp_path, command, values, codes, want):
-        # rates.k understates the true constant 2*lambda, so at lambda=1 the
-        # reference solve of rates diverges instead of failing the k check
+        # rates.k understates the true constant 2*lambda: at lambda=0.1 the
+        # actual errors exceed the bounds (a config error), and at lambda=1 the
+        # reference solve of rates diverges before the bounds are checked
         cfg = write_config(tmp_path, "c.json", {
             "sweep": {"command": command, "field": "picard.lambda", "values": values},
             "operator": {"type": "affine", "A": [[2.0]], "b": [0.0]},

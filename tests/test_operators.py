@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from picardop import (
@@ -167,6 +167,54 @@ class TestHammerstein:
         other = GridFunction(grid_uniform(0, 1, 21), np.ones(21))
         with pytest.raises(ValueError):
             apply(op, other)
+
+    @settings(deadline=None)
+    @given(name=st.sampled_from(["separable-linear", "bounded-nonlinear"]),
+           params=st.lists(st.floats(-2, 2, allow_subnormal=False),
+                           min_size=4, max_size=4),
+           rule_n=st.one_of(st.tuples(st.just("trapezoid"), st.integers(2, 300)),
+                            st.tuples(st.just("simpson"),
+                                      st.integers(1, 149).map(lambda k: 2 * k + 1))),
+           a=st.floats(-5, 5), length=st.floats(0.01, 10),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_separable_apply_matches_dense(self, name, params, rule_n, a, length,
+                                           scale, seed):
+        rule, n = rule_n
+        g = grid_uniform(a, a + length, n, rule=rule)
+        op = HammersteinOperator(g, make_kernel(name, params))
+        y = GridFunction(g, scale * np.random.default_rng(seed).standard_normal(n))
+        phi = op.kernel.nonlinearity(y.values)
+        dense = op._K @ (g.weights * phi)
+        bound = np.abs(op._K) @ (g.weights * np.abs(phi))
+        assert np.all(np.abs(apply(op, y).values - dense) <= 1e-12 * bound)
+
+    def test_table_kernel_applies_dense_matrix(self):
+        g = grid_uniform(0, 1, 201, rule="simpson")
+        op = HammersteinOperator(g, make_kernel(
+            "table", table=0.5 * np.exp(-np.abs(g.points[:, None] - g.points[None, :]))))
+        y = GridFunction(g, np.cos(3 * g.points))
+        assert np.array_equal(apply(op, y).values, op._K @ (g.weights * y.values))
+
+    def test_separable_operator_stores_no_dense_matrix(self):
+        g = grid_uniform(0, 1, 4001, rule="simpson")
+        op = HammersteinOperator(g, make_kernel("bounded-nonlinear", [0.2, 0.1, 0.1, 0.3]))
+        assert "_K" not in vars(op)
+        apply(op, GridFunction(g, np.sin(g.points)))
+        assert "_K" not in vars(op)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kernel_overflow_on_grid_rejected(self):
+        # K(t, s) = 1e308 * t * s overflows on the grid wherever t * s > 1.8
+        with pytest.raises(ValueError, match="non-finite"):
+            HammersteinOperator(grid_uniform(0, 10, 11),
+                                make_kernel("separable-linear", [0, 0, 0, 1e308]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_output_is_divergence(self):
+        g = grid_uniform(0, 1, 11)
+        op = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 1e308]))
+        with pytest.raises(DivergenceError):
+            apply(op, GridFunction(g, np.full(g.n, 1e10)))
 
 
 class TestGraph:
