@@ -49,7 +49,6 @@ from .picard import (
     banach_bounds,
     uniqueness_check,
     trace_csv_text,
-    export_trace_csv,
 )
 from .calculus import (
     LipschitzEstimate,

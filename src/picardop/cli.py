@@ -25,18 +25,20 @@ from .calculus import (
     rescale_to_contraction,
     spectral_norm,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, config_value
 from .ioutil import write_json_atomic, write_text_atomic
 from .operators import (
     AffineOperator,
     AttentionOperator,
     GnnAggregateOperator,
     HammersteinOperator,
+    _matrix_entry,
     operator_from_config,
 )
-from .picard import PicardConfig, banach_bounds, picard_solve, residual, trace_csv_text
+from .picard import (IterationTrace, PicardConfig, banach_bounds, picard_solve, residual,
+                     trace_csv_text)
 from .pign import run_pign_experiment
-from .spaces import DirectSumVector, GridFunction, load_matrix_text, norm
+from .spaces import DirectSumVector, GridFunction, norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,11 +51,14 @@ RATES_ROUNDING = 1e-12
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "must be a JSON object")
+    return cfg
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
@@ -70,10 +75,13 @@ def _read_free_term(entry, base_dir: str, shape: tuple) -> np.ndarray:
     if entry is None or (isinstance(entry, dict) and "constant" in entry):
         if None in shape:
             raise ConfigError("f", "needs an explicit matrix, whose row count sets m")
-        return np.full(shape, 0.0 if entry is None else float(entry["constant"]))
-    if isinstance(entry, str):
-        return load_matrix_text(os.path.join(base_dir, entry))
-    return np.asarray(entry["blocks"] if isinstance(entry, dict) else entry, dtype=float)
+        return np.full(shape, 0.0 if entry is None else
+                       config_value({"f": entry["constant"]}, "f", "a number"))
+    if isinstance(entry, dict):
+        if "blocks" not in entry:
+            raise ConfigError("f", f"expected {{'constant': c}} or {{'blocks': M}}, got {entry!r}")
+        entry = entry["blocks"]
+    return _matrix_entry(entry, base_dir, "f")
 
 
 def _resolve_free_term(entry, op, base_dir: str):
@@ -93,41 +101,19 @@ def _resolve_free_term(entry, op, base_dir: str):
         shape, wrap = (None, op.d), np.asarray
     else:
         raise ConfigError("operator.type", "unsupported operator for this command")
-    want = " x ".join("m" if n is None else str(n) for n in shape)
-    try:
-        values = _read_free_term(entry, base_dir, shape)
-    except ConfigError:
-        raise
-    except OSError as exc:
-        raise ConfigError("f", f"cannot read file: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("f", f"not a numeric {want} array: {exc!r}") from exc
+    values = _read_free_term(entry, base_dir, shape)
     if len(shape) == 1:
         values = values.ravel()
     if values.ndim != len(shape) or any(n not in (None, got)
                                         for n, got in zip(shape, values.shape)):
+        want = " x ".join("m" if n is None else str(n) for n in shape)
         raise ConfigError("f", f"expected shape {want}, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("f", "must be finite (no NaN/Inf)")
     return wrap(values)
-
-
-def _number(field: str, value, need: str, valid, cast=float):
-    """``value`` converted by ``cast``; a ConfigError naming ``field`` unless finite and valid."""
-    try:
-        number = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or not math.isfinite(number) or not valid(number):
-        raise ConfigError(field, f"must be {need}, got {value!r}")
-    return number
 
 
 def _operator(cfg: dict, base_dir: str, expected_type=None):
     """The config's operator, required to be an ``expected_type`` when one is given."""
-    if "operator" not in cfg:
-        raise ConfigError("operator", "missing section")
-    op = operator_from_config(cfg["operator"], base_dir)
+    op = operator_from_config(cfg.get("operator"), base_dir)
     if expected_type is not None and not isinstance(op, expected_type):
         raise ConfigError("operator.type", f"expected {expected_type.__name__}, "
                                            f"got {type(op).__name__}")
@@ -136,9 +122,7 @@ def _operator(cfg: dict, base_dir: str, expected_type=None):
 
 def _solve_setup(cfg: dict, base_dir: str):
     op = _operator(cfg, base_dir)
-    if "picard" not in cfg:
-        raise ConfigError("picard", "missing section")
-    pcfg = PicardConfig.from_json(cfg["picard"])
+    pcfg = PicardConfig.from_json(cfg.get("picard"))
     f = _resolve_free_term(cfg.get("f"), op, base_dir)
     return op, pcfg, f
 
@@ -173,25 +157,32 @@ def cmd_solve(cfg: dict, out_dir: Path, seed: int, base_dir: str):
 def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     """Per-iteration error bounds against a high-accuracy reference."""
     op, pcfg, f = _solve_setup(cfg, base_dir)
-    rates_cfg = cfg.get("rates", {})
-    k_T = rates_cfg.get("k")
+    k_T = config_value(cfg, "rates.k", "a non-negative number", lambda k: k >= 0, default=None)
     if k_T is None:
         if not isinstance(op, AffineOperator):
             raise ConfigError("rates.k", "a Lipschitz constant is required for "
                                          "non-affine operators")
         k_T = spectral_norm(op.A)
-    k_T = _number("rates.k", k_T, "a non-negative number", lambda k: k >= 0)
     k_map = pcfg.smoothing + (1.0 - pcfg.smoothing) * abs(pcfg.lam) * k_T
     if k_map >= 1:
         raise ConfigError("rates.k", f"iteration map constant {k_map:.6g} is >= 1; "
                                      "rate bounds need a contraction")
-    ref_eps = _number("rates.reference_epsilon", rates_cfg.get("reference_epsilon", 1e-13),
-                      "a positive number", lambda eps: eps > 0)
+    ref_eps = config_value(cfg, "rates.reference_epsilon", "a positive number",
+                           lambda eps: eps > 0, default=1e-13)
+    if ref_eps > pcfg.epsilon:
+        raise ConfigError("rates.reference_epsilon", f"{ref_eps:g} exceeds picard.epsilon "
+                          f"{pcfg.epsilon:g}; a looser reference cannot measure the run's errors")
+    # One solve to the reference tolerance: its first n steps, through the first
+    # step <= epsilon, are the run, and its final iterate is the reference.
     ref_cfg = PicardConfig(lam=pcfg.lam, epsilon=ref_eps,
                            max_iter=max(10 * pcfg.max_iter, 10000),
                            smoothing=pcfg.smoothing, norm_kind=pcfg.norm_kind)
-    reference, ref_trace = picard_solve(op, ref_cfg, f)
-    solution, trace = picard_solve(op, pcfg, f, record_iterates=True)
+    reference, ref_trace = picard_solve(op, ref_cfg, f, record_iterates=True)
+    n = min(next((i + 1 for i, step in enumerate(ref_trace.steps)
+                  if step.step_norm <= pcfg.epsilon), len(ref_trace.steps)), pcfg.max_iter)
+    steps = ref_trace.steps[:n]
+    trace = IterationTrace(steps=steps, converged=steps[-1].step_norm <= pcfg.epsilon,
+                           iterations_used=n, iterates=ref_trace.iterates[:n + 1])
     bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=pcfg.norm_kind)
     # The reference lies within its a posteriori bound of the fixed point, and
     # contracting float iterates settle within ~eps * (|x| + |f|) / (1 - k) of it.
@@ -209,25 +200,23 @@ def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     write_text_atomic(out_dir / "rates.csv", trace_csv_text(trace, bounds))
     write_json_atomic(out_dir / "summary.json", {
         "converged": trace.converged,
-        "iterations_used": trace.iterations_used,
+        "iterations_used": n,
         "contraction_constant": k_map,
-        "final_residual": residual(op, pcfg.lam, f, solution, pcfg.norm_kind),
+        "final_residual": residual(op, pcfg.lam, f, trace.iterates[n], pcfg.norm_kind),
     })
     return (EXIT_OK if trace.converged else EXIT_MAX_ITER,
-            f"rate bounds over {trace.iterations_used} iterations at k={k_map:.4g}")
+            f"rate bounds over {n} iterations at k={k_map:.4g}")
 
 
 def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     """Compare the analytic attention derivative with finite differences."""
     op = _operator(cfg, base_dir, AttentionOperator)
-    check = cfg.get("check", {})
-    n_samples = _number("check.n_samples", check.get("n_samples", 100),
-                        "a positive integer", lambda n: n >= 1, int)
-    rows = _number("check.rows", check.get("rows", op.d),
-                   "a positive integer", lambda n: n >= 1, int)
-    t = _number("check.t", check.get("t", 1e-5), "a positive number", lambda v: v > 0)
-    t_order = _number("check.order_t", check.get("order_t", 1e-3),
-                      "a positive number", lambda v: v > 0)
+    n_samples = config_value(cfg, "check.n_samples", "an integer >= 1", lambda n: n >= 1,
+                             int, 100)
+    rows = config_value(cfg, "check.rows", "an integer >= 1", lambda n: n >= 1, int, op.d)
+    t = config_value(cfg, "check.t", "a positive number", lambda v: v > 0, default=1e-5)
+    t_order = config_value(cfg, "check.order_t", "a positive number", lambda v: v > 0,
+                           default=1e-3)
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     errors_t, errors_half = [], []
@@ -270,9 +259,9 @@ def cmd_gnn_cert(cfg: dict, out_dir: Path, seed: int, base_dir: str):
         "certified": report.certified,
         "rescaled_W_path": None,
     }
-    target = cfg.get("target")
+    target = config_value(cfg, "target", "a number in (0, 1)", lambda v: 0 < v < 1,
+                          default=None)
     if target is not None:
-        target = _number("target", target, "a number in (0, 1)", lambda v: 0 < v < 1)
         W2 = rescale_to_contraction(op.W, report.alpha_max, target)
         w_path = out_dir / "rescaled_W.txt"
         write_text_atomic(w_path, "\n".join(
@@ -288,10 +277,12 @@ def cmd_gnn_cert(cfg: dict, out_dir: Path, seed: int, base_dir: str):
 
 def cmd_pign(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     """Iterated message-passing experiment on synthetic graphs."""
-    seeds = cfg.get("seeds", [seed])
+    seeds = config_value(cfg, "seeds", "a non-empty list of integers >= 0",
+                         lambda v: v and all(type(s) is int and s >= 0 for s in v),
+                         cast=None, default=[seed])
     results = run_pign_experiment(cfg, seeds, csv_path=out_dir / "pign_report.csv")
     summary = {
-        "seeds": [int(s) for s in seeds],
+        "seeds": seeds,
         "mode": results[0].mode,
         "noise_p": results[0].noise_p,
         "mean_pign_accuracy": float(np.mean([r.readout_accuracy for r in results])),
@@ -316,22 +307,17 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 def cmd_sweep(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     """Repeat solve, rates or pign over a list of values for one config field."""
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep", "missing section")
-    for key in ("command", "field", "values"):
-        if key not in sweep:
-            raise ConfigError(f"sweep.{key}", "missing required field")
-    command = sweep["command"]
-    if command not in ("solve", "rates", "pign"):
-        raise ConfigError("sweep.command", f"cannot sweep {command!r}")
-    if not isinstance(sweep["values"], list):
-        raise ConfigError("sweep.values", "must be a list")
+    command = config_value(cfg, "sweep.command", "one of ('solve', 'rates', 'pign')",
+                           lambda v: v in ("solve", "rates", "pign"), cast=None)
+    field = config_value(cfg, "sweep.field", "a dotted field name",
+                         lambda v: isinstance(v, str), cast=None)
+    values = config_value(cfg, "sweep.values", "a list", lambda v: isinstance(v, list),
+                          cast=None)
     base = {k: v for k, v in cfg.items() if k != "sweep"}
     lines, codes = ["index,value,exit_code"], []
-    for idx, value in enumerate(sweep["values"]):
+    for idx, value in enumerate(values):
         sub_cfg = copy.deepcopy(base)
-        _set_dotted(sub_cfg, sweep["field"], value)
+        _set_dotted(sub_cfg, field, value)
         run_dir = out_dir / "runs" / f"{idx:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -343,7 +329,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, base_dir: str):
         lines.append(f"{idx},{json.dumps(value)},{code}")
     write_text_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     code = EXIT_CONFIG if EXIT_CONFIG in codes else max(codes, default=EXIT_OK)
-    return code, f"swept {sweep['field']} over {len(codes)} values"
+    return code, f"swept {field} over {len(codes)} values"
 
 
 COMMANDS = {

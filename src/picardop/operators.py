@@ -11,15 +11,14 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NonFiniteError
+from .errors import REQUIRED, ConfigError, DivergenceError, NonFiniteError, config_value
 from .spaces import (
     DirectSumVector,
     Grid,
     GridFunction,
     flatten_values,
-    grid_from_json,
+    grid_uniform,
     load_matrix_text,
-    load_vector_text,
 )
 
 
@@ -335,86 +334,87 @@ def apply(op, x):
 
 
 def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:
-    if isinstance(entry, str):
-        path = os.path.join(base_dir, entry)
-        try:
-            return load_matrix_text(path)
-        except OSError as exc:
-            raise ConfigError(field, f"cannot read matrix file: {exc}") from exc
+    """A finite numeric array from an inline nested list or a text-file path."""
+    if entry is None:
+        raise ConfigError(field, "missing required field; must be a matrix or a file path")
     try:
-        return np.array(entry, dtype=float)
+        if isinstance(entry, str):
+            M = load_matrix_text(os.path.join(base_dir, entry))
+        else:
+            M = np.array(entry, dtype=float)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot read file: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"not a numeric matrix: {exc}") from exc
+        raise ConfigError(field, f"not a numeric array: {exc}") from exc
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(field, "must be finite (no NaN/Inf)")
+    return M
 
 
-def _vector_entry(entry, base_dir: str, field: str) -> np.ndarray:
-    if isinstance(entry, str):
-        path = os.path.join(base_dir, entry)
-        try:
-            return load_vector_text(path)
-        except OSError as exc:
-            raise ConfigError(field, f"cannot read vector file: {exc}") from exc
+def graph_from_config(cfg: dict, base_dir: str = ".") -> Graph:
+    """The graph at ``operator.graph`` of ``cfg``: an ``edgelist`` file, or ``edges`` and ``n``."""
+    include_self = config_value(cfg, "operator.graph.include_self", "true or false",
+                                lambda v: isinstance(v, bool), cast=None, default=True)
+    edgelist = config_value(cfg, "operator.graph.edgelist", "a file path",
+                            lambda v: isinstance(v, str), cast=None, default=None)
+    if edgelist is None:
+        edges = config_value(cfg, "operator.graph.edges", "a list of [u, v] pairs, or give "
+                             "an 'edgelist' file", lambda v: isinstance(v, list), cast=None)
+    n = config_value(cfg, "operator.graph.n", "an integer >= 1", lambda v: v >= 1, int,
+                     default=REQUIRED if edgelist is None else None)
+    field = "operator.graph.edges" if edgelist is None else "operator.graph.edgelist"
     try:
-        return np.asarray(entry, dtype=float).ravel()
+        if edgelist is None:
+            return Graph(n, edges, include_self=include_self)
+        return graph_from_edgelist(os.path.join(base_dir, edgelist), n=n,
+                                   include_self=include_self)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot read edge list: {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"not a numeric vector: {exc}") from exc
+        raise ConfigError(field, str(exc)) from exc
 
 
-def graph_from_config(cfg: dict, base_dir: str = ".", field: str = "graph") -> Graph:
-    include_self = bool(cfg.get("include_self", True))
-    n = cfg.get("n")
-    if "edgelist" in cfg:
-        path = os.path.join(base_dir, cfg["edgelist"])
-        try:
-            return graph_from_edgelist(path, n=n, include_self=include_self)
-        except OSError as exc:
-            raise ConfigError(f"{field}.edgelist", f"cannot read edge list: {exc}") from exc
-    if "edges" not in cfg:
-        raise ConfigError(field, "needs 'edges' or an 'edgelist' file path")
-    if n is None:
-        raise ConfigError(f"{field}.n", "node count required with inline edges")
-    try:
-        return Graph(int(n), cfg["edges"], include_self=include_self)
-    except ValueError as exc:
-        raise ConfigError(f"{field}.edges", str(exc)) from exc
+OPERATOR_TYPES = ("affine", "attention", "hammerstein", "gnn")
+GRID_RULES = ("trapezoid", "simpson")
 
 
 def operator_from_config(cfg: dict, base_dir: str = "."):
-    """Build an operator from its JSON description.
+    """Build an operator from its JSON description, the ``operator`` section of a config.
 
     ``{"type": "affine"|"attention"|"hammerstein"|"gnn", ...}`` with matrices
     inline as nested lists or as text-file paths relative to the config file.
+    A bad entry is a ConfigError naming ``operator.<field>``.
     """
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ConfigError("operator.type", "operator config needs a 'type'")
-    kind = cfg["type"]
+    root = {"operator": cfg}
+    kind = config_value(root, "operator.type", f"one of {OPERATOR_TYPES}",
+                        lambda t: t in OPERATOR_TYPES, cast=None)
+
+    def matrix(key):
+        return _matrix_entry(cfg.get(key), base_dir, f"operator.{key}")
+
     try:
         if kind == "affine":
-            A = _matrix_entry(cfg["A"], base_dir, "operator.A")
-            b = _vector_entry(cfg["b"], base_dir, "operator.b") if "b" in cfg else None
-            return AffineOperator(A, b)
+            return AffineOperator(matrix("A"), None if cfg.get("b") is None
+                                  else matrix("b").ravel())
         if kind == "attention":
-            return AttentionOperator(
-                _matrix_entry(cfg["Wq"], base_dir, "operator.Wq"),
-                _matrix_entry(cfg["Wk"], base_dir, "operator.Wk"),
-                _matrix_entry(cfg["Wv"], base_dir, "operator.Wv"),
-            )
+            return AttentionOperator(matrix("Wq"), matrix("Wk"), matrix("Wv"))
         if kind == "hammerstein":
-            grid = grid_from_json(cfg["grid"])
-            table = cfg.get("table")
-            if table is not None:
-                table = _matrix_entry(table, base_dir, "operator.table")
-            kernel = make_kernel(cfg.get("kernel", "separable-linear"),
-                                 params=cfg.get("params"), table=table)
-            return HammersteinOperator(grid, kernel)
-        if kind == "gnn":
-            graph = graph_from_config(cfg.get("graph", {}), base_dir, field="operator.graph")
-            W = _matrix_entry(cfg["W"], base_dir, "operator.W")
-            return GnnAggregateOperator(graph, W)
-    except KeyError as exc:
-        raise ConfigError(f"operator.{exc.args[0]}", "missing required field") from exc
+            a = config_value(root, "operator.grid.a", "a number")
+            b = config_value(root, "operator.grid.b", "a number above operator.grid.a",
+                             lambda v: v > a)
+            rule = config_value(root, "operator.grid.rule", f"one of {GRID_RULES}",
+                                lambda v: v in GRID_RULES, cast=None, default="trapezoid")
+            n = config_value(root, "operator.grid.n", "an integer >= 2, odd for simpson",
+                             lambda v: v >= 2 and (rule != "simpson" or v % 2 == 1), int)
+            kernel = config_value(root, "operator.kernel", f"one of {sorted(KERNELS)}",
+                                  lambda v: v in KERNELS, cast=None,
+                                  default=SeparableLinearKernel.name)
+            params, table = (None if cfg.get(key) is None else matrix(key)
+                             for key in ("params", "table"))
+            return HammersteinOperator(grid_uniform(a, b, n, rule),
+                                       make_kernel(kernel, params=params, table=table))
+        return GnnAggregateOperator(graph_from_config(root, base_dir), matrix("W"))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError("operator", str(exc)) from exc
-    raise ConfigError("operator.type", f"unknown operator type {kind!r}")

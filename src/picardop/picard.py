@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NonFiniteError
+from .errors import DivergenceError, NonFiniteError, config_value
 from .operators import apply
 from .spaces import NORM_KINDS, lincomb, norm, zero_like
 
@@ -51,21 +51,25 @@ class PicardConfig:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PicardConfig":
-        """Parse the JSON section {lambda, epsilon, max_iter, smoothing, norm}."""
-        try:
-            cfg = cls(
-                lam=float(obj["lambda"]),
-                epsilon=float(obj["epsilon"]),
-                max_iter=int(obj["max_iter"]),
-                smoothing=float(obj.get("smoothing", 0.0)),
-                norm_kind=obj.get("norm", "discrete-L2"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"picard.{exc.args[0]}", "missing required field") from exc
-        except ValueError as exc:
-            raise ConfigError("picard", str(exc)) from exc
-        return cfg
+    def from_json(cls, obj) -> "PicardConfig":
+        """Parse the JSON section {lambda, epsilon, max_iter, smoothing, norm}.
+
+        A missing or invalid value is a ConfigError naming ``picard.<field>``.
+        """
+        cfg = {"picard": obj}
+        return cls(
+            lam=config_value(cfg, "picard.lambda", "a finite nonzero number",
+                             lambda v: v != 0),
+            epsilon=config_value(cfg, "picard.epsilon", "a positive number",
+                                 lambda v: v > 0),
+            max_iter=config_value(cfg, "picard.max_iter", "an integer >= 1",
+                                  lambda v: v >= 1, int),
+            smoothing=config_value(cfg, "picard.smoothing", "a number in [0, 1]",
+                                   lambda v: 0 <= v <= 1, default=0.0),
+            norm_kind=config_value(cfg, "picard.norm", f"one of {NORM_KINDS}",
+                                   lambda v: v in NORM_KINDS, cast=None,
+                                   default="discrete-L2"),
+        )
 
 
 @dataclass(frozen=True)
@@ -228,8 +232,8 @@ def banach_bounds(trace: IterationTrace, k: float, reference=None,
     against ``reference`` when given, which requires the trace to have recorded
     its iterates.
     """
-    if not 0 < k < 1:
-        raise ValueError("contraction constant k must lie in (0, 1)")
+    if not 0 <= k < 1:
+        raise ValueError("contraction constant k must lie in [0, 1)")
     if not trace.steps:
         raise ValueError("trace is empty")
     if reference is not None and trace.iterates is None:
@@ -288,8 +292,3 @@ def trace_csv_text(trace: IterationTrace, bounds: Optional[Sequence] = None) -> 
         out.write(",".join(cells) + "\n")
     return out.getvalue()
 
-
-def export_trace_csv(path, trace: IterationTrace, bounds: Optional[Sequence] = None) -> None:
-    """Write the trace CSV to a file path."""
-    with open(path, "w") as fh:
-        fh.write(trace_csv_text(trace, bounds))

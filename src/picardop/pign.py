@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import gnn_lipschitz_report, rescale_to_contraction
-from .errors import ConfigError
+from .errors import REQUIRED, config_value
 from .ioutil import write_text_atomic
 from .operators import GnnAggregateOperator, Graph, apply, neighborhood_membership_counts
 from .picard import IterationTrace, _iterate
@@ -169,67 +169,48 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     return w, accuracy
 
 
-def _section(cfg: dict, name: str) -> dict:
-    value = cfg.get(name)
-    if not isinstance(value, dict):
-        raise ConfigError(name, "missing or not an object")
-    return value
-
-
 def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
     """Full pipeline per seed: dataset -> noise -> certified operator -> embed -> readout.
 
     The single-pass baseline applies the aggregation operator once with no
     iteration. Section seeds in the config act as base offsets; each run seed
     s is added to them, so identical configs and seeds reproduce identical
-    results byte for byte. Returns the list of PignResult; writes the per-seed
-    CSV report when csv_path is given.
+    results byte for byte. A missing or invalid config value is a ConfigError
+    naming the field. Returns the list of PignResult; writes the per-seed CSV
+    report when csv_path is given.
     """
-    ds_cfg = _section(cfg, "dataset")
-    noise_cfg = _section(cfg, "noise")
-    op_cfg = _section(cfg, "operator")
-    it_cfg = _section(cfg, "picard")
-    ro_cfg = _section(cfg, "readout")
-    mode = cfg.get("mode", "anchored")
-    if mode not in ("anchored", "homogeneous"):
-        raise ConfigError("mode", f"expected 'anchored' or 'homogeneous', got {mode!r}")
-
-    try:
-        d = int(ds_cfg["d"])
-        n_nodes = int(ds_cfg["n"])
-        p_in = float(ds_cfg["p_in"])
-        p_out = float(ds_cfg["p_out"])
-        separation = float(ds_cfg["separation"])
-    except KeyError as exc:
-        raise ConfigError(f"dataset.{exc.args[0]}", "missing required field") from exc
-    if int(op_cfg.get("dim", d)) != d:
-        raise ConfigError("operator.dim", f"must match dataset feature dim {d}")
-    target = float(op_cfg.get("target_contraction", 0.9))
-    try:
-        alpha = float(it_cfg["alpha"])
-        epsilon = float(it_cfg["epsilon"])
-        max_iter = int(it_cfg["max_iter"])
-    except KeyError as exc:
-        raise ConfigError(f"picard.{exc.args[0]}", "missing required field") from exc
-    try:
-        noise_p = float(noise_cfg["p"])
-        magnitude = float(noise_cfg["magnitude"]) if noise_p > 0 else 0.0
-    except KeyError as exc:
-        raise ConfigError(f"noise.{exc.args[0]}", "missing required field") from exc
+    mode = config_value(cfg, "mode", "'anchored' or 'homogeneous'",
+                        lambda v: v in ("anchored", "homogeneous"), cast=None, default="anchored")
+    n_nodes = config_value(cfg, "dataset.n", "an even integer >= 2",
+                           lambda v: v >= 2 and v % 2 == 0, int)
+    d = config_value(cfg, "dataset.d", "an integer >= 1", lambda v: v >= 1, int)
+    p_in = config_value(cfg, "dataset.p_in", "a number in (0, 1]", lambda v: 0 < v <= 1)
+    p_out = config_value(cfg, "dataset.p_out", "a number in [0, dataset.p_in)",
+                         lambda v: 0 <= v < p_in)
+    separation = config_value(cfg, "dataset.separation", "a number")
+    noise_p = config_value(cfg, "noise.p", "a number in [0, 1]", lambda v: 0 <= v <= 1)
+    magnitude = config_value(cfg, "noise.magnitude", "a positive number", lambda v: v > 0,
+                             default=REQUIRED if noise_p > 0 else 0.0)
+    config_value(cfg, "operator.dim", f"the dataset feature dim {d}", lambda v: v == d, int, d)
+    target = config_value(cfg, "operator.target_contraction", "a number in (0, 1)",
+                          lambda v: 0 < v < 1, default=0.9)
+    alpha = config_value(cfg, "picard.alpha", "a number in [0, 1]", lambda v: 0 <= v <= 1)
+    epsilon = config_value(cfg, "picard.epsilon", "a positive number", lambda v: v > 0)
+    max_iter = config_value(cfg, "picard.max_iter", "an integer >= 1", lambda v: v >= 1, int)
+    lr = config_value(cfg, "readout.lr", "a positive number", lambda v: v > 0, default=0.5)
+    epochs = config_value(cfg, "readout.epochs", "an integer >= 1", lambda v: v >= 1, int, 500)
+    ds_seed, noise_seed, op_seed, split_seed0 = (
+        config_value(cfg, path, "an integer >= 0", lambda v: v >= 0, int, 0)
+        for path in ("dataset.seed", "noise.seed", "operator.seed", "readout.split_seed"))
 
     results = []
     for s in seeds:
         s = int(s)
-        try:
-            ds = planted_partition(n_nodes, d, p_in, p_out, separation,
-                                   seed=int(ds_cfg.get("seed", 0)) + s)
-        except ValueError as exc:
-            raise ConfigError("dataset", str(exc)) from exc
+        ds = planted_partition(n_nodes, d, p_in, p_out, separation, seed=ds_seed + s)
         X = ds.features
         if noise_p > 0:
-            X = add_dropin_noise(X, noise_p, magnitude,
-                                 seed=int(noise_cfg.get("seed", 0)) + s)
-        w_rng = np.random.default_rng(int(op_cfg.get("seed", 0)) + s)
+            X = add_dropin_noise(X, noise_p, magnitude, seed=noise_seed + s)
+        w_rng = np.random.default_rng(op_seed + s)
         W0 = w_rng.standard_normal((d, d))
         alpha_max = int(neighborhood_membership_counts(ds.graph).max())
         W = rescale_to_contraction(W0, alpha_max, target)
@@ -239,9 +220,7 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
         embeddings, trace = pign_embed(op, X, alpha, max_iter, epsilon, anchor=anchor)
         baseline = apply(op, X)
 
-        split_seed = int(ro_cfg.get("split_seed", 0)) + s
-        lr = float(ro_cfg.get("lr", 0.5))
-        epochs = int(ro_cfg.get("epochs", 500))
+        split_seed = split_seed0 + s
         _, acc = train_logistic_readout(embeddings, ds.labels, split_seed, lr, epochs)
         _, acc_base = train_logistic_readout(baseline, ds.labels, split_seed, lr, epochs)
         results.append(PignResult(embeddings=embeddings, trace=trace,

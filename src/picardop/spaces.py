@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -183,10 +183,6 @@ class DirectSumVector:
     def n_blocks(self) -> int:
         return len(self.block_dims)
 
-    @property
-    def total_dim(self) -> int:
-        return self.values.size
-
     def is_uniform(self) -> bool:
         return len(set(self.block_dims)) == 1
 
@@ -209,7 +205,6 @@ class DirectSumVector:
         return f"DirectSumVector(n_blocks={self.n_blocks}, block_dims={self.block_dims})"
 
 
-VectorLike = Union[np.ndarray, GridFunction, DirectSumVector]
 # Values stored as one read-only flat array plus a fixed structure.
 _STRUCTURED = (GridFunction, DirectSumVector)
 

@@ -6,6 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from picardop import (
+    AffineOperator,
+    PicardConfig,
+    banach_bounds,
+    picard_solve,
+    residual,
+    trace_csv_text,
+)
+from picardop import cli
 from picardop.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -195,6 +204,59 @@ class TestRatesCommand:
         })
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("max_iter, smoothing, norm_kind", [
+        (5000, 0.0, "discrete-L2"), (3, 0.0, "discrete-L2"), (5000, 0.3, "sup"),
+    ], ids=["converged", "max-iter", "smoothed-sup"])
+    def test_one_solve_gives_the_two_solve_output(self, tmp_path, monkeypatch,
+                                                  max_iter, smoothing, norm_kind):
+        # the run to epsilon is a prefix of the run to reference_epsilon, so one
+        # solve gives the same trace, reference and bounds as two
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 4))
+        A = A + A.T
+        A *= 0.6 / np.abs(A).sum(axis=1).max()  # symmetric: ||A||_2 <= ||A||_inf = 0.6
+        b, f = rng.standard_normal(4), rng.standard_normal(4)
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": A.tolist(), "b": b.tolist()},
+            "f": f.tolist(),
+            "picard": {"lambda": -0.8, "epsilon": 1e-10, "max_iter": max_iter,
+                       "smoothing": smoothing, "norm": norm_kind},
+            "rates": {"k": 0.6, "reference_epsilon": 1e-13},
+        })
+        op = AffineOperator(A, b)
+        pcfg = PicardConfig(-0.8, 1e-10, max_iter, smoothing, norm_kind)
+        solution, trace = picard_solve(op, pcfg, f, record_iterates=True)
+        reference, _ = picard_solve(op, PicardConfig(-0.8, 1e-13, 10000, smoothing,
+                                                     norm_kind), f)
+        k_map = smoothing + (1 - smoothing) * 0.8 * 0.6
+        bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=norm_kind)
+        calls = []
+        monkeypatch.setattr(cli, "picard_solve",
+                            lambda *args, **kw: calls.append(1) or picard_solve(*args, **kw))
+        out = tmp_path / "out"
+        code = main(["rates", "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == (0 if trace.converged else 2)
+        assert calls == [1]
+        assert (out / "rates.csv").read_text() == trace_csv_text(trace, bounds)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iterations_used"] == trace.iterations_used
+        assert summary["final_residual"] == residual(op, -0.8, f, solution, norm_kind)
+
+    def test_constant_map_has_exact_bounds(self, tmp_path):
+        # T(x) = b: the default k = ||A|| = 0, the first iterate is the fixed
+        # point, and both bounds equal the actual errors
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 2.0]},
+            "f": [0.5, 0.0],
+            "picard": {"lambda": 1.0, "epsilon": 1e-10, "max_iter": 100},
+        })
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = [line.split(",") for line in (out / "rates.csv").read_text().splitlines()[1:]]
+        assert [float(row[3]) for row in rows] == [float(np.sqrt(5.0)), 0.0, 0.0]
+        assert [row[4] for row in rows] == ["", "0.0", "0.0"]
+        assert [row[5] for row in rows] == [row[3] for row in rows]
+
     def test_non_affine_needs_k_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "operator": {"type": "hammerstein",
@@ -366,3 +428,96 @@ def test_bad_value_names_field(tmp_path, capsys, command, config, overrides, fie
                  "--out", str(out)]) == 1
     assert f"'{field}'" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def set_path(cfg: dict, keys, value) -> None:
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    cfg[keys[-1]] = value
+
+
+def assert_config_error_names(tmp_path, capsys, command, cfg, field):
+    shutil.copytree(CONFIGS / "data", tmp_path / "data")  # relative paths resolve
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+INVALID_CASES = [
+    ("pign", "pign_noise.json", "operator.target_contraction", 1.5, None),
+    ("pign", "pign_noise.json", "noise.p", 2, None),
+    ("pign", "pign_noise.json", "picard.alpha", 2, None),
+    ("pign", "pign_noise.json", "picard.max_iter", 0, None),
+    ("pign", "pign_noise.json", "dataset.d", "abc", None),
+    ("pign", "pign_noise.json", "readout.epochs", [1], None),
+    ("pign", "pign_noise.json", "readout.epochs", 0, None),
+    ("pign", "pign_noise.json", "seeds", "ab", None),
+    ("pign", "pign_noise.json", "seeds", [], None),
+    ("solve", "affine_solve.json", "picard.epsilon", [1], None),
+    ("frechet-check", "attention_frechet.json", "check", 5, None),
+    ("rates", "scalar_rates.json", "rates", [1], None),
+    ("rates", "scalar_rates.json", "picard", 3, None),
+    ("rates", "scalar_rates.json", "rates.k", 0, None),
+    ("rates", "scalar_rates.json", "rates.reference_epsilon", 1e-9, None),
+    ("sweep", "sweep_lambda.json", "sweep.field", 5, None),
+    ("solve", "fredholm_product_kernel.json", "operator.grid.a", "x", None),
+    ("gnn-cert", "gnn_cert.json", "operator.graph", {"n": "two", "edges": [[0, 1]]},
+     "operator.graph.n"),
+    ("gnn-cert", "gnn_cert.json", "operator.graph.include_self", "false", None),
+]
+
+
+@pytest.mark.parametrize("command, config, path, value, field", INVALID_CASES,
+                         ids=[f"{case[0]}:{case[2]}={json.dumps(case[3])}"
+                              for case in INVALID_CASES])
+def test_invalid_value_names_field(tmp_path, capsys, command, config, path, value, field):
+    cfg = json.loads((CONFIGS / config).read_text())
+    set_path(cfg, path.split("."), value)
+    assert_config_error_names(tmp_path, capsys, command, cfg, field or path)
+
+
+# sweep_lambda.json is left out: its fields are affine_solve.json's, and a bad
+# value there is a sub-run's config error, recorded in sweep.csv
+SHIPPED_COMMANDS = {
+    "affine_solve.json": "solve",
+    "attention_frechet.json": "frechet-check",
+    "fredholm_product_kernel.json": "solve",
+    "gnn_cert.json": "gnn-cert",
+    "pign_control.json": "pign",
+    "pign_noise.json": "pign",
+    "scalar_rates.json": "rates",
+}
+
+
+def numeric_leaves(node, keys=()):
+    """Key paths to the number and boolean leaves under ``node``, list entries included."""
+    if isinstance(node, (int, float)):
+        return [keys]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [leaf for key, child in items for leaf in numeric_leaves(child, keys + (key,))]
+
+
+LEAF_CASES = [
+    (path.name, keys)
+    for path in sorted(CONFIGS.glob("*.json")) if path.name != "sweep_lambda.json"
+    for keys in numeric_leaves(json.loads(path.read_text())) if keys[0] != "f"
+]
+
+
+@pytest.mark.parametrize("bad", ["x", float("nan")], ids=["string", "nan"])
+@pytest.mark.parametrize("config, keys", LEAF_CASES,
+                         ids=[f"{name[:-5]}:{'.'.join(map(str, keys))}"
+                              for name, keys in LEAF_CASES])
+def test_every_numeric_leaf_names_its_field(tmp_path, capsys, config, keys, bad):
+    # json.dumps writes float("nan") as the NaN literal json.load accepts
+    cfg = json.loads((CONFIGS / config).read_text())
+    set_path(cfg, keys, bad)
+    field = ".".join(key for key in keys if isinstance(key, str))
+    assert_config_error_names(tmp_path, capsys, SHIPPED_COMMANDS[config], cfg, field)

@@ -379,6 +379,32 @@ class TestOperatorConfig:
         }, base_dir=tmp_path)
         assert op.graph.n == 2
 
+    @pytest.mark.parametrize("cfg, field", [
+        ({"type": 3}, "operator.type"),
+        ({"type": "affine", "A": [[float("nan")]]}, "operator.A"),
+        ({"type": "affine", "A": [[0.5]], "b": "missing.txt"}, "operator.b"),
+        ({"type": "hammerstein", "grid": {"a": 0, "b": 1, "n": 10, "rule": "simpson"}},
+         "operator.grid.n"),
+        ({"type": "hammerstein", "grid": {"a": 1, "b": 0, "n": 11}}, "operator.grid.b"),
+        ({"type": "hammerstein", "grid": {"a": 0, "b": 1, "n": 11}, "kernel": "cubic"},
+         "operator.kernel"),
+        ({"type": "hammerstein", "grid": {"a": 0, "b": 1, "n": 11},
+          "params": [0, 0, float("inf"), 1]}, "operator.params"),
+        ({"type": "gnn", "graph": {"n": 2, "edges": [[0, 1]], "include_self": "false"},
+          "W": [[1.0]]}, "operator.graph.include_self"),
+        ({"type": "gnn", "graph": {"n": 2, "edges": 5}, "W": [[1.0]]},
+         "operator.graph.edges"),
+        ({"type": "gnn", "graph": {"n": 2, "edges": [[0, None]]}, "W": [[1.0]]},
+         "operator.graph.edges"),
+        ({"type": "gnn", "graph": 3, "W": [[1.0]]}, "operator.graph"),
+    ], ids=["type-not-a-name", "nan-matrix", "missing-vector-file", "even-simpson-n",
+            "empty-interval", "unknown-kernel", "infinite-param", "string-boolean",
+            "edges-not-a-list", "null-node", "graph-not-object"])
+    def test_bad_entry_names_field(self, cfg, field):
+        with pytest.raises(ConfigError) as err:
+            operator_from_config(cfg)
+        assert err.value.field == field
+
     def test_unknown_type(self):
         with pytest.raises(ConfigError):
             operator_from_config({"type": "fourier"})

@@ -163,6 +163,21 @@ class TestPredictedIterations:
                 assert r ** (nu - 1) * m >= eps
 
 
+@pytest.mark.parametrize("section, field", [
+    ({"lambda": 0}, "picard.lambda"),
+    ({"epsilon": "x"}, "picard.epsilon"),
+    ({"max_iter": None}, "picard.max_iter"),
+    ({"smoothing": 1.5}, "picard.smoothing"),
+    ({"norm": "l1"}, "picard.norm"),
+], ids=["zero-lambda", "string-epsilon", "missing-max-iter", "smoothing-above-one",
+        "unknown-norm"])
+def test_from_json_names_the_field(section, field):
+    obj = dict({"lambda": 1.0, "epsilon": 1e-6, "max_iter": 10}, **section)
+    with pytest.raises(ConfigError) as err:
+        PicardConfig.from_json(obj)
+    assert err.value.field == field
+
+
 class TestBanachBounds:
     def test_scalar_contraction_by_hand(self):
         # T(x) = 0.5 x + 1 iterated from 0: iterates 0, 1, 1.5, 1.75, ... limit 2
@@ -200,6 +215,18 @@ class TestBanachBounds:
         _, trace = picard_solve(op, PicardConfig(1.0, 1e-10, 100), np.zeros(1))
         with pytest.raises(ValueError):
             banach_bounds(trace, 1.0)
+
+    def test_constant_map_contracts_with_zero(self):
+        # T(x) = 1: u_1 is the fixed point, so the bounds are exact at k = 0
+        op = AffineOperator(np.zeros((1, 1)), np.array([1.0]))
+        _, trace = picard_solve(op, PicardConfig(1.0, 1e-10, 100), np.zeros(1),
+                                record_iterates=True)
+        records = banach_bounds(trace, 0.0, reference=np.array([1.0]))
+        assert [r.apriori_bound for r in records] == [1.0, 0.0, 0.0]
+        assert [r.aposteriori_bound for r in records] == [None, 0.0, 0.0]
+        assert [r.actual_error for r in records] == [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            banach_bounds(trace, -0.1)
 
     def test_actual_errors_need_recorded_iterates(self):
         op = AffineOperator(np.array([[0.5]]), np.array([1.0]))

@@ -270,6 +270,30 @@ class TestExperiment:
         with pytest.raises(ConfigError):
             run_pign_experiment(cfg, seeds=[0])
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"dataset": {"n": 7}}, "dataset.n"),
+        ({"dataset": {"p_out": 0.05}}, "dataset.p_out"),
+        ({"noise": {"magnitude": 0.0}}, "noise.magnitude"),
+        ({"noise": 5}, "noise"),
+        ({"operator": {"seed": "x"}}, "operator.seed"),
+        ({"picard": {"epsilon": float("inf")}}, "picard.epsilon"),
+        ({"picard": {"alpha": None}}, "picard.alpha"),
+        ({"readout": {"epochs": 0}}, "readout.epochs"),
+    ], ids=["odd-n", "p_out-above-p_in", "zero-magnitude", "section-not-object",
+            "string-seed", "infinite-epsilon", "missing-alpha", "zero-epochs"])
+    def test_bad_config_value_names_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            run_pign_experiment(experiment_config(**overrides), seeds=[0])
+        assert err.value.field == field
+
+    def test_missing_optional_sections_take_defaults(self):
+        cfg = experiment_config()
+        del cfg["operator"], cfg["readout"]
+        defaults = experiment_config(operator={"target_contraction": 0.9, "seed": 0},
+                                     readout={"lr": 0.5, "epochs": 500, "split_seed": 0})
+        assert (report_csv_text(run_pign_experiment(cfg, seeds=[3]))
+                == report_csv_text(run_pign_experiment(defaults, seeds=[3])))
+
     def test_csv_written(self, tmp_path):
         cfg = experiment_config()
         path = tmp_path / "report.csv"
