@@ -172,17 +172,17 @@ def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     if ref_eps > pcfg.epsilon:
         raise ConfigError("rates.reference_epsilon", f"{ref_eps:g} exceeds picard.epsilon "
                           f"{pcfg.epsilon:g}; a looser reference cannot measure the run's errors")
-    # One solve to the reference tolerance: its first n steps, through the first
-    # step <= epsilon, are the run, and its final iterate is the reference.
+    # One solve to the reference tolerance, whose final iterate is the reference;
+    # its first n steps are the run under pcfg, the only iterates it records.
     ref_cfg = PicardConfig(lam=pcfg.lam, epsilon=ref_eps,
                            max_iter=max(10 * pcfg.max_iter, 10000),
                            smoothing=pcfg.smoothing, norm_kind=pcfg.norm_kind)
-    reference, ref_trace = picard_solve(op, ref_cfg, f, record_iterates=True)
-    n = min(next((i + 1 for i, step in enumerate(ref_trace.steps)
-                  if step.step_norm <= pcfg.epsilon), len(ref_trace.steps)), pcfg.max_iter)
+    reference, ref_trace = picard_solve(op, ref_cfg, f, record_iterates=True,
+                                        record_run=pcfg)
+    n = len(ref_trace.iterates) - 1
     steps = ref_trace.steps[:n]
     trace = IterationTrace(steps=steps, converged=steps[-1].step_norm <= pcfg.epsilon,
-                           iterations_used=n, iterates=ref_trace.iterates[:n + 1])
+                           iterations_used=n, iterates=ref_trace.iterates)
     bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=pcfg.norm_kind)
     # The reference lies within its a posteriori bound of the fixed point, and
     # contracting float iterates settle within ~eps * (|x| + |f|) / (1 - k) of it.
@@ -369,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError("--seed", f"must be an integer >= 0, got {args.seed}")
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

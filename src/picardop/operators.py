@@ -17,7 +17,7 @@ from .spaces import (
     Grid,
     GridFunction,
     flatten_values,
-    grid_uniform,
+    grid_from_json,
     load_matrix_text,
 )
 
@@ -375,7 +375,6 @@ def graph_from_config(cfg: dict, base_dir: str = ".") -> Graph:
 
 
 OPERATOR_TYPES = ("affine", "attention", "hammerstein", "gnn")
-GRID_RULES = ("trapezoid", "simpson")
 
 
 def operator_from_config(cfg: dict, base_dir: str = "."):
@@ -399,20 +398,13 @@ def operator_from_config(cfg: dict, base_dir: str = "."):
         if kind == "attention":
             return AttentionOperator(matrix("Wq"), matrix("Wk"), matrix("Wv"))
         if kind == "hammerstein":
-            a = config_value(root, "operator.grid.a", "a number")
-            b = config_value(root, "operator.grid.b", "a number above operator.grid.a",
-                             lambda v: v > a)
-            rule = config_value(root, "operator.grid.rule", f"one of {GRID_RULES}",
-                                lambda v: v in GRID_RULES, cast=None, default="trapezoid")
-            n = config_value(root, "operator.grid.n", "an integer >= 2, odd for simpson",
-                             lambda v: v >= 2 and (rule != "simpson" or v % 2 == 1), int)
+            grid = grid_from_json(cfg.get("grid"), "operator.grid")
             kernel = config_value(root, "operator.kernel", f"one of {sorted(KERNELS)}",
                                   lambda v: v in KERNELS, cast=None,
                                   default=SeparableLinearKernel.name)
             params, table = (None if cfg.get(key) is None else matrix(key)
                              for key in ("params", "table"))
-            return HammersteinOperator(grid_uniform(a, b, n, rule),
-                                       make_kernel(kernel, params=params, table=table))
+            return HammersteinOperator(grid, make_kernel(kernel, params=params, table=table))
         return GnnAggregateOperator(graph_from_config(root, base_dir), matrix("W"))
     except ConfigError:
         raise

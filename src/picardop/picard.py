@@ -99,10 +99,6 @@ class IterationTrace:
         return np.array([s.step_norm for s in self.steps])
 
     @property
-    def residuals(self) -> np.ndarray:
-        return np.array([s.residual for s in self.steps])
-
-    @property
     def final_step(self) -> float:
         return self.steps[-1].step_norm if self.steps else math.nan
 
@@ -127,9 +123,11 @@ def _trace(steps, converged, iterates):
 
 
 def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
-             record_iterates=False):
+             record_iterates=False, record_stop=None):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    record_epsilon, record_max = record_stop or (epsilon, max_iter)
+    recording = record_iterates
     y = x0
     steps = []
     iterates = [y] if record_iterates else None
@@ -150,8 +148,9 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
                                   _trace(steps, False, iterates)) from exc
         steps.append(StepRecord(k, step, resid))
         y = y_next
-        if record_iterates:
+        if recording:
             iterates.append(y)
+            recording = step > record_epsilon and len(steps) < record_max
         if first_step is None:
             first_step = step
         elif first_step > 0 and step > DIVERGENCE_STEP_RATIO * first_step:
@@ -164,19 +163,24 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     return y, _trace(steps, converged, iterates)
 
 
-def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = False):
+def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,
+                 record_run: Optional[PicardConfig] = None):
     """Solve lambda*T(x) + f = x by iterating y_{k+1} = f + lambda*T(y_k) from y_0 = f.
 
     With cfg.smoothing = alpha > 0 the update is damped:
     y_{k+1} = alpha*y_k + (1-alpha)*(f + lambda*T(y_k)). An explicit ``x0``
     overrides the y_0 = f initialization (used by uniqueness checks).
 
+    ``record_iterates`` keeps the iterates in the trace; with ``record_run``, a
+    shorter run's config, only that run's (through its first step <= its epsilon).
+
     Returns (solution, trace); raises DivergenceError (carrying the partial
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.
     """
     start = f if x0 is None else x0
+    record_stop = None if record_run is None else (record_run.epsilon, record_run.max_iter)
     return _iterate(op, cfg.lam, f, cfg.smoothing, start, cfg.epsilon,
-                    cfg.max_iter, cfg.norm_kind, record_iterates)
+                    cfg.max_iter, cfg.norm_kind, record_iterates, record_stop)
 
 
 def damped_solve(op, lambda_mix: float, x0, epsilon: float, max_iter: int,

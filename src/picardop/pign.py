@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import gnn_lipschitz_report, rescale_to_contraction
-from .errors import REQUIRED, config_value
+from .errors import config_value
 from .ioutil import write_text_atomic
 from .operators import GnnAggregateOperator, Graph, apply, neighborhood_membership_counts
 from .picard import IterationTrace, _iterate
@@ -189,8 +189,8 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
                          lambda v: 0 <= v < p_in)
     separation = config_value(cfg, "dataset.separation", "a number")
     noise_p = config_value(cfg, "noise.p", "a number in [0, 1]", lambda v: 0 <= v <= 1)
-    magnitude = config_value(cfg, "noise.magnitude", "a positive number", lambda v: v > 0,
-                             default=REQUIRED if noise_p > 0 else 0.0)
+    magnitude = (config_value(cfg, "noise.magnitude", "a positive number", lambda v: v > 0)
+                 if noise_p > 0 else None)
     config_value(cfg, "operator.dim", f"the dataset feature dim {d}", lambda v: v == d, int, d)
     target = config_value(cfg, "operator.target_contraction", "a number in (0, 1)",
                           lambda v: 0 < v < 1, default=0.9)

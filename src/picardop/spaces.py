@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError, config_value
 
 NORM_KINDS = ("discrete-L2", "sup", "direct-sum")
 
@@ -110,9 +110,18 @@ def grid_to_json(grid: Grid) -> dict:
     return {"a": grid.a, "b": grid.b, "n": grid.n, "rule": grid.rule}
 
 
-def grid_from_json(obj: dict) -> Grid:
-    return grid_uniform(float(obj["a"]), float(obj["b"]), int(obj["n"]),
-                        rule=obj.get("rule", "trapezoid"))
+def grid_from_json(obj: dict, field: str = "grid") -> Grid:
+    """The grid ``{a, b, n, rule}`` of ``grid_to_json``; a ConfigError names
+    ``<field>.<key>`` for a bad value, ``field`` for one that grid_uniform rejects."""
+    cfg = functools.reduce(lambda node, key: {key: node}, reversed(field.split(".")), obj)
+    a, b = (config_value(cfg, f"{field}.{key}", "a number") for key in "ab")
+    n = config_value(cfg, f"{field}.n", "an integer", cast=int)
+    rule = config_value(cfg, f"{field}.rule", "a quadrature rule name", cast=None,
+                        default="trapezoid")
+    try:
+        return grid_uniform(a, b, n, rule)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 class GridFunction:

@@ -232,11 +232,13 @@ class TestRatesCommand:
         bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=norm_kind)
         calls = []
         monkeypatch.setattr(cli, "picard_solve",
-                            lambda *args, **kw: calls.append(1) or picard_solve(*args, **kw))
+                            lambda *args, **kw: calls.append(picard_solve(*args, **kw))
+                            or calls[-1])
         out = tmp_path / "out"
         code = main(["rates", "--config", cfg, "--out", str(out), "--quiet"])
         assert code == (0 if trace.converged else 2)
-        assert calls == [1]
+        assert len(calls) == 1
+        assert len(calls[0][1].iterates) == trace.iterations_used + 1  # the run's alone
         assert (out / "rates.csv").read_text() == trace_csv_text(trace, bounds)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations_used"] == trace.iterations_used
@@ -315,6 +317,13 @@ class TestPignCommand:
         assert len(report) == 3
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 <= summary["mean_pign_accuracy"] <= 1.0
+
+    def test_magnitude_ignored_without_noise(self, tmp_path):
+        cfg = json.loads((CONFIGS / "pign_noise.json").read_text())
+        cfg["seeds"] = [0]
+        cfg["noise"] = {"p": 0, "magnitude": 0}
+        path = write_config(tmp_path, "p.json", cfg)
+        assert main(["pign", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 class TestSweepCommand:
@@ -407,29 +416,6 @@ def test_help_lists_every_command(capsys):
         assert f"\n  {command} " in help_text
 
 
-@pytest.mark.parametrize("command, config, overrides, field", [
-    ("gnn-cert", "gnn_cert.json", {"target": 1.5}, "target"),
-    ("frechet-check", "attention_frechet.json", {"check": {"n_samples": 0}},
-     "check.n_samples"),
-    ("rates", "scalar_rates.json", {"rates": {"reference_epsilon": -1}},
-     "rates.reference_epsilon"),
-    ("rates", "scalar_rates.json", {"rates": {"k": "abc"}}, "rates.k"),
-    ("frechet-check", "attention_frechet.json", {"check": {"t": 0}}, "check.t"),
-    ("sweep", "sweep_lambda.json",
-     {"sweep": {"command": "solve", "field": "picard.lambda", "values": 0.5}},
-     "sweep.values"),
-], ids=["target-above-one", "zero-samples", "negative-reference-epsilon",
-        "non-numeric-k", "zero-step", "values-not-a-list"])
-def test_bad_value_names_field(tmp_path, capsys, command, config, overrides, field):
-    shutil.copytree(CONFIGS / "data", tmp_path / "data")  # relative paths resolve
-    cfg = {**json.loads((CONFIGS / config).read_text()), **overrides}
-    out = tmp_path / "o"
-    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
-                 "--out", str(out)]) == 1
-    assert f"'{field}'" in capsys.readouterr().err
-    assert not any(out.iterdir())
-
-
 def set_path(cfg: dict, keys, value) -> None:
     for key in keys[:-1]:
         cfg = cfg[key]
@@ -445,37 +431,58 @@ def assert_config_error_names(tmp_path, capsys, command, cfg, field):
     assert not any(out.iterdir())
 
 
-INVALID_CASES = [
-    ("pign", "pign_noise.json", "operator.target_contraction", 1.5, None),
-    ("pign", "pign_noise.json", "noise.p", 2, None),
-    ("pign", "pign_noise.json", "picard.alpha", 2, None),
-    ("pign", "pign_noise.json", "picard.max_iter", 0, None),
-    ("pign", "pign_noise.json", "dataset.d", "abc", None),
-    ("pign", "pign_noise.json", "readout.epochs", [1], None),
-    ("pign", "pign_noise.json", "readout.epochs", 0, None),
-    ("pign", "pign_noise.json", "seeds", "ab", None),
-    ("pign", "pign_noise.json", "seeds", [], None),
-    ("solve", "affine_solve.json", "picard.epsilon", [1], None),
-    ("frechet-check", "attention_frechet.json", "check", 5, None),
-    ("rates", "scalar_rates.json", "rates", [1], None),
-    ("rates", "scalar_rates.json", "picard", 3, None),
-    ("rates", "scalar_rates.json", "rates.k", 0, None),
-    ("rates", "scalar_rates.json", "rates.reference_epsilon", 1e-9, None),
-    ("sweep", "sweep_lambda.json", "sweep.field", 5, None),
-    ("solve", "fredholm_product_kernel.json", "operator.grid.a", "x", None),
-    ("gnn-cert", "gnn_cert.json", "operator.graph", {"n": "two", "edges": [[0, 1]]},
-     "operator.graph.n"),
-    ("gnn-cert", "gnn_cert.json", "operator.graph.include_self", "false", None),
-]
+def bad_value(command, config, path, value, field=None, id=None):
+    """A shipped config with the value at dotted ``path`` replaced; ``field`` defaults to it."""
+    return pytest.param(command, config, path, value, field or path,
+                        id=id or f"{command}:{path}={json.dumps(value)}")
 
 
-@pytest.mark.parametrize("command, config, path, value, field", INVALID_CASES,
-                         ids=[f"{case[0]}:{case[2]}={json.dumps(case[3])}"
-                              for case in INVALID_CASES])
-def test_invalid_value_names_field(tmp_path, capsys, command, config, path, value, field):
+@pytest.mark.parametrize("command, config, path, value, field", [
+    bad_value("gnn-cert", "gnn_cert.json", "target", 1.5, id="target-above-one"),
+    bad_value("frechet-check", "attention_frechet.json", "check.n_samples", 0,
+              id="zero-samples"),
+    bad_value("rates", "scalar_rates.json", "rates.reference_epsilon", -1,
+              id="negative-reference-epsilon"),
+    bad_value("rates", "scalar_rates.json", "rates.k", "abc", id="non-numeric-k"),
+    bad_value("frechet-check", "attention_frechet.json", "check.t", 0, id="zero-step"),
+    bad_value("sweep", "sweep_lambda.json", "sweep.values", 0.5, id="values-not-a-list"),
+    bad_value("pign", "pign_noise.json", "operator.target_contraction", 1.5),
+    bad_value("pign", "pign_noise.json", "noise.p", 2),
+    bad_value("pign", "pign_noise.json", "picard.alpha", 2),
+    bad_value("pign", "pign_noise.json", "picard.max_iter", 0),
+    bad_value("pign", "pign_noise.json", "dataset.d", "abc"),
+    bad_value("pign", "pign_noise.json", "readout.epochs", [1]),
+    bad_value("pign", "pign_noise.json", "readout.epochs", 0),
+    bad_value("pign", "pign_noise.json", "seeds", "ab"),
+    bad_value("pign", "pign_noise.json", "seeds", []),
+    bad_value("solve", "affine_solve.json", "picard.epsilon", [1]),
+    bad_value("frechet-check", "attention_frechet.json", "check", 5),
+    bad_value("rates", "scalar_rates.json", "rates", [1]),
+    bad_value("rates", "scalar_rates.json", "picard", 3),
+    bad_value("rates", "scalar_rates.json", "rates.k", 0),
+    bad_value("rates", "scalar_rates.json", "rates.reference_epsilon", 1e-9),
+    bad_value("sweep", "sweep_lambda.json", "sweep.field", 5),
+    bad_value("solve", "fredholm_product_kernel.json", "operator.grid.a", "x"),
+    bad_value("solve", "fredholm_product_kernel.json", "operator.grid.n", 1, "operator.grid"),
+    bad_value("gnn-cert", "gnn_cert.json", "operator.graph", {"n": "two", "edges": [[0, 1]]},
+              "operator.graph.n"),
+    bad_value("gnn-cert", "gnn_cert.json", "operator.graph.include_self", "false"),
+])
+def test_bad_value_names_field(tmp_path, capsys, command, config, path, value, field):
     cfg = json.loads((CONFIGS / config).read_text())
     set_path(cfg, path.split("."), value)
-    assert_config_error_names(tmp_path, capsys, command, cfg, field or path)
+    assert_config_error_names(tmp_path, capsys, command, cfg, field)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("frechet-check", "attention_frechet.json"), ("pign", "pign_control.json"),
+])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, config):
+    out = tmp_path / "o"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                 "--seed", "-1"]) == 1
+    assert "'--seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # sweep_lambda.json is left out: its fields are affine_solve.json's, and a bad

@@ -384,8 +384,9 @@ class TestOperatorConfig:
         ({"type": "affine", "A": [[float("nan")]]}, "operator.A"),
         ({"type": "affine", "A": [[0.5]], "b": "missing.txt"}, "operator.b"),
         ({"type": "hammerstein", "grid": {"a": 0, "b": 1, "n": 10, "rule": "simpson"}},
-         "operator.grid.n"),
-        ({"type": "hammerstein", "grid": {"a": 1, "b": 0, "n": 11}}, "operator.grid.b"),
+         "operator.grid"),
+        ({"type": "hammerstein", "grid": {"a": 1, "b": 0, "n": 11}}, "operator.grid"),
+        ({"type": "hammerstein", "grid": {"a": 0, "b": "x", "n": 11}}, "operator.grid.b"),
         ({"type": "hammerstein", "grid": {"a": 0, "b": 1, "n": 11}, "kernel": "cubic"},
          "operator.kernel"),
         ({"type": "hammerstein", "grid": {"a": 0, "b": 1, "n": 11},
@@ -398,8 +399,8 @@ class TestOperatorConfig:
          "operator.graph.edges"),
         ({"type": "gnn", "graph": 3, "W": [[1.0]]}, "operator.graph"),
     ], ids=["type-not-a-name", "nan-matrix", "missing-vector-file", "even-simpson-n",
-            "empty-interval", "unknown-kernel", "infinite-param", "string-boolean",
-            "edges-not-a-list", "null-node", "graph-not-object"])
+            "empty-interval", "non-numeric-end", "unknown-kernel", "infinite-param",
+            "string-boolean", "edges-not-a-list", "null-node", "graph-not-object"])
     def test_bad_entry_names_field(self, cfg, field):
         with pytest.raises(ConfigError) as err:
             operator_from_config(cfg)

@@ -111,6 +111,19 @@ class TestPicardSolve:
         with pytest.raises(ValueError):
             PicardConfig(lam=1.0, epsilon=1e-6, max_iter=10, norm_kind="L1")
 
+    @pytest.mark.parametrize("run_max_iter, n", [(100, 11), (4, 4)],
+                             ids=["run-converges", "run-capped"])
+    def test_record_run_keeps_only_its_iterates(self, run_max_iter, n):
+        # T(x) = 0.5 x + 1 from 0: step k is 0.5**k, first <= 1e-3 at k = 10
+        op = AffineOperator(np.array([[0.5]]), np.array([1.0]))
+        cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=100)
+        full_x, full = picard_solve(op, cfg, np.zeros(1), record_iterates=True)
+        x, trace = picard_solve(op, cfg, np.zeros(1), record_iterates=True,
+                                record_run=PicardConfig(1.0, 1e-3, run_max_iter))
+        assert len(trace.iterates) == n + 1
+        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, full.iterates))
+        assert np.array_equal(x, full_x) and trace.steps == full.steps
+
 
 class TestResidual:
     def test_exact_fixed_point(self):
