@@ -15,7 +15,6 @@ from .spaces import (
     DirectSumVector,
     grid_uniform,
     grid_from_json,
-    grid_to_json,
     norm,
     direct_sum_norm,
     lincomb,

@@ -25,7 +25,7 @@ from .calculus import (
     rescale_to_contraction,
     spectral_norm,
 )
-from .errors import ConfigError, DivergenceError, config_value
+from .errors import ConfigError, DivergenceError, config_value, integer
 from .ioutil import write_json_atomic, write_text_atomic
 from .operators import (
     AffineOperator,
@@ -162,7 +162,11 @@ def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
         if not isinstance(op, AffineOperator):
             raise ConfigError("rates.k", "a Lipschitz constant is required for "
                                          "non-affine operators")
-        k_T = spectral_norm(op.A)
+        # the Lipschitz constant of x -> A x + b in the solver's norm
+        if pcfg.norm_kind == "sup":
+            k_T = float(np.abs(op.A).sum(axis=1).max())
+        else:
+            k_T = spectral_norm(op.A)
     k_map = pcfg.smoothing + (1.0 - pcfg.smoothing) * abs(pcfg.lam) * k_T
     if k_map >= 1:
         raise ConfigError("rates.k", f"iteration map constant {k_map:.6g} is >= 1; "
@@ -212,8 +216,8 @@ def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     """Compare the analytic attention derivative with finite differences."""
     op = _operator(cfg, base_dir, AttentionOperator)
     n_samples = config_value(cfg, "check.n_samples", "an integer >= 1", lambda n: n >= 1,
-                             int, 100)
-    rows = config_value(cfg, "check.rows", "an integer >= 1", lambda n: n >= 1, int, op.d)
+                             integer, 100)
+    rows = config_value(cfg, "check.rows", "an integer >= 1", lambda n: n >= 1, integer, op.d)
     t = config_value(cfg, "check.t", "a positive number", lambda v: v > 0, default=1e-5)
     t_order = config_value(cfg, "check.order_t", "a positive number", lambda v: v > 0,
                            default=1e-3)
@@ -262,7 +266,10 @@ def cmd_gnn_cert(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     target = config_value(cfg, "target", "a number in (0, 1)", lambda v: 0 < v < 1,
                           default=None)
     if target is not None:
-        W2 = rescale_to_contraction(op.W, report.alpha_max, target)
+        try:
+            W2 = rescale_to_contraction(op.W, report.alpha_max, target)
+        except ValueError as exc:  # a zero W or a graph with no neighborhoods
+            raise ConfigError("target", f"cannot rescale to {target:g}: {exc}") from exc
         w_path = out_dir / "rescaled_W.txt"
         write_text_atomic(w_path, "\n".join(
             " ".join(repr(float(x)) for x in row) for row in W2) + "\n")

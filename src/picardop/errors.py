@@ -1,6 +1,7 @@
 """Shared exception types and the config-field reader."""
 
 import math
+import numbers
 
 
 class NonFiniteError(ValueError):
@@ -26,6 +27,15 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def integer(value) -> int:
+    """``value`` as an int: ints and integral floats pass, booleans and anything else raise."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
 REQUIRED = object()  # the default of a field that must be present
 
 
@@ -36,7 +46,7 @@ def config_value(cfg: dict, path: str, need: str, valid=None, cast=float, defaul
     other failure is a ConfigError: a section that is not an object names the
     section; a missing required field, a failed cast, a non-finite number or a
     value that ``valid`` rejects names ``path`` and says it must be ``need``.
-    ``cast=None`` keeps the JSON value as it is.
+    ``cast=None`` keeps the JSON value as it is; integer fields use ``cast=integer``.
     """
     node, parts = cfg, path.split(".")
     for depth, key in enumerate(parts):

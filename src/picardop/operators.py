@@ -11,7 +11,8 @@ import os
 
 import numpy as np
 
-from .errors import REQUIRED, ConfigError, DivergenceError, NonFiniteError, config_value
+from .errors import (REQUIRED, ConfigError, DivergenceError, NonFiniteError, config_value,
+                     integer)
 from .spaces import (
     DirectSumVector,
     Grid,
@@ -108,10 +109,6 @@ class SeparableLinearKernel:
         return (np.column_stack((c0 + c1 * t, c2 + c3 * t)),
                 np.column_stack((np.ones_like(s), s)))
 
-    def __call__(self, y_val: float, t: float, s: float) -> float:
-        c0, c1, c2, c3 = self.params
-        return (c0 + c1 * t + c2 * s + c3 * t * s) * self.nonlinearity(y_val)
-
 
 class BoundedNonlinearKernel(SeparableLinearKernel):
     """Integrand G(y, t, s) = K(t, s) * tanh(y); bounded in y, 1-Lipschitz nonlinearity."""
@@ -200,65 +197,44 @@ class HammersteinOperator:
 
 
 class Graph:
-    """Undirected graph stored as per-node sorted neighbor lists.
+    """Undirected graph in CSR form: N(v) is ``indices[indptr[v]:indptr[v + 1]]``.
 
-    ``include_self`` controls whether a node belongs to its own neighborhood
-    during aggregation; the stored adjacency never contains self edges.
+    Each neighborhood is sorted and holds v itself when ``include_self`` is
+    set; self edges are refused, duplicate and reversed pairs collapse.
     """
 
     def __init__(self, n: int, edges=(), include_self: bool = True):
         if n < 1:
             raise ValueError("graph needs at least one node")
-        neighbor_sets = [set() for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self edge ({u}, {v}) not allowed; "
-                                 "use include_self to put nodes in their own neighborhood")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+        E = np.asarray(edges)
+        if E.size == 0:
+            E = np.empty((0, 2), dtype=np.int64)
+        if E.dtype.kind not in "iu" or E.ndim != 2 or E.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs of integer node ids")
+        out_of_range = ((E < 0) | (E >= n)).any(axis=1)
+        if out_of_range.any():
+            u, v = E[out_of_range.argmax()]
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        u, v = E.astype(np.int64).T
+        loops = u == v
+        if loops.any():
+            w = u[loops.argmax()]
+            raise ValueError(f"self edge ({w}, {w}) not allowed; "
+                             "use include_self to put nodes in their own neighborhood")
+        keys = [u * n + v, v * n + u]
+        if include_self:
+            keys.append(np.arange(n) * (n + 1))
+        keys = np.unique(np.concatenate(keys))
         self.n = n
         self.include_self = bool(include_self)
-        self.adjacency = tuple(np.array(sorted(s), dtype=int) for s in neighbor_sets)
-        self._neighborhoods = tuple(
-            np.array(sorted(s | {v}) if self.include_self else sorted(s), dtype=int)
-            for v, s in enumerate(neighbor_sets)
-        )
-
-    @classmethod
-    def from_neighbor_lists(cls, adjacency, include_self: bool = True) -> "Graph":
-        """Build from explicit neighbor lists, enforcing undirected symmetry."""
-        n = len(adjacency)
-        edges = []
-        for u, nbrs in enumerate(adjacency):
-            seen = set()
-            for v in nbrs:
-                v = int(v)
-                if v in seen:
-                    raise ValueError(f"duplicate neighbor {v} at node {u}")
-                seen.add(v)
-                if not (0 <= v < n):
-                    raise ValueError(f"neighbor {v} out of range at node {u}")
-                edges.append((u, v))
-        for u, v in edges:
-            if u not in {int(w) for w in adjacency[v]}:
-                raise ValueError(f"asymmetric adjacency: node {u} lists {v} but not vice versa")
-        return cls(n, [(u, v) for u, v in edges if u < v], include_self=include_self)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.indices = keys % n
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
 
     def neighborhood(self, v: int) -> np.ndarray:
         """Sorted neighborhood of v, including v itself when include_self is set."""
-        return self._neighborhoods[v]
-
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[v].size)
-
-    def edge_count(self) -> int:
-        return sum(a.size for a in self.adjacency) // 2
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edge_count()}, include_self={self.include_self})"
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
 
 def graph_from_edgelist(path, n: int | None = None, include_self: bool = True) -> Graph:
@@ -282,10 +258,7 @@ def graph_from_edgelist(path, n: int | None = None, include_self: bool = True) -
 
 def neighborhood_membership_counts(graph: Graph) -> np.ndarray:
     """For each node i, the number of nodes v with i in N(v): degree plus self-inclusion."""
-    counts = np.array([graph.degree(i) for i in range(graph.n)], dtype=int)
-    if graph.include_self:
-        counts += 1
-    return counts
+    return np.diff(graph.indptr)
 
 
 class GnnAggregateOperator:
@@ -299,6 +272,9 @@ class GnnAggregateOperator:
         self.graph = graph
         self.W = _finite_matrix(W, "W", square=True)
         self.d = self.W.shape[0]
+        # node v's segment of _members is N(v) then n, the index of a zero row
+        self._members = np.insert(graph.indices, graph.indptr[1:], graph.n)
+        self._starts = graph.indptr[:-1] + np.arange(graph.n)
 
     def __call__(self, F: DirectSumVector) -> DirectSumVector:
         if not isinstance(F, DirectSumVector):
@@ -307,12 +283,11 @@ class GnnAggregateOperator:
             raise ValueError(f"expected {self.graph.n} blocks, got {F.n_blocks}")
         if not F.is_uniform() or F.block_dims[0] != self.d:
             raise ValueError(f"expected blocks of dim {self.d}, got {F.block_dims}")
-        transformed = np.maximum(F.stacked() @ self.W.T, 0.0)
-        out = np.zeros((self.graph.n, self.d))
-        for v in range(self.graph.n):
-            nb = self.graph.neighborhood(v)
-            if nb.size:
-                out[v] = transformed[nb].max(axis=0)
+        # relu output is >= 0, so the zero row leaves every maximum as it is
+        # and gives an empty neighborhood the zero block
+        transformed = np.zeros((self.graph.n + 1, self.d))
+        np.maximum(F.stacked() @ self.W.T, 0.0, out=transformed[:-1])
+        out = np.maximum.reduceat(transformed[self._members], self._starts)
         return F.with_values(out.ravel())
 
 
@@ -360,12 +335,13 @@ def graph_from_config(cfg: dict, base_dir: str = ".") -> Graph:
     if edgelist is None:
         edges = config_value(cfg, "operator.graph.edges", "a list of [u, v] pairs, or give "
                              "an 'edgelist' file", lambda v: isinstance(v, list), cast=None)
-    n = config_value(cfg, "operator.graph.n", "an integer >= 1", lambda v: v >= 1, int,
+    n = config_value(cfg, "operator.graph.n", "an integer >= 1", lambda v: v >= 1, integer,
                      default=REQUIRED if edgelist is None else None)
     field = "operator.graph.edges" if edgelist is None else "operator.graph.edgelist"
     try:
         if edgelist is None:
-            return Graph(n, edges, include_self=include_self)
+            return Graph(n, [[integer(x) for x in pair] for pair in edges],
+                         include_self=include_self)
         return graph_from_edgelist(os.path.join(base_dir, edgelist), n=n,
                                    include_self=include_self)
     except OSError as exc:

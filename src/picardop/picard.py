@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, NonFiniteError, config_value
+from .errors import DivergenceError, NonFiniteError, config_value, integer
 from .operators import apply
 from .spaces import NORM_KINDS, lincomb, norm, zero_like
 
@@ -63,7 +63,7 @@ class PicardConfig:
             epsilon=config_value(cfg, "picard.epsilon", "a positive number",
                                  lambda v: v > 0),
             max_iter=config_value(cfg, "picard.max_iter", "an integer >= 1",
-                                  lambda v: v >= 1, int),
+                                  lambda v: v >= 1, integer),
             smoothing=config_value(cfg, "picard.smoothing", "a number in [0, 1]",
                                    lambda v: 0 <= v <= 1, default=0.0),
             norm_kind=config_value(cfg, "picard.norm", f"one of {NORM_KINDS}",

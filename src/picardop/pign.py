@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import gnn_lipschitz_report, rescale_to_contraction
-from .errors import config_value
+from .errors import config_value, integer
 from .ioutil import write_text_atomic
 from .operators import GnnAggregateOperator, Graph, apply, neighborhood_membership_counts
 from .picard import IterationTrace, _iterate
@@ -65,13 +65,8 @@ def planted_partition(n: int, d: int, p_in: float, p_out: float,
     rng = np.random.default_rng(seed)
     labels = np.repeat([0, 1], n // 2)
     coin = rng.random((n, n))
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = p_in if labels[u] == labels[v] else p_out
-            if coin[u, v] < p:
-                edges.append((u, v))
-    graph = Graph(n, edges, include_self=True)
+    P = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    graph = Graph(n, np.argwhere(np.triu(coin < P, 1)), include_self=True)
     means = np.zeros((n, d))
     means[:, 0] = (2 * labels - 1) * (separation / 2.0)
     feats = means + rng.standard_normal((n, d))
@@ -182,8 +177,8 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
     mode = config_value(cfg, "mode", "'anchored' or 'homogeneous'",
                         lambda v: v in ("anchored", "homogeneous"), cast=None, default="anchored")
     n_nodes = config_value(cfg, "dataset.n", "an even integer >= 2",
-                           lambda v: v >= 2 and v % 2 == 0, int)
-    d = config_value(cfg, "dataset.d", "an integer >= 1", lambda v: v >= 1, int)
+                           lambda v: v >= 2 and v % 2 == 0, integer)
+    d = config_value(cfg, "dataset.d", "an integer >= 1", lambda v: v >= 1, integer)
     p_in = config_value(cfg, "dataset.p_in", "a number in (0, 1]", lambda v: 0 < v <= 1)
     p_out = config_value(cfg, "dataset.p_out", "a number in [0, dataset.p_in)",
                          lambda v: 0 <= v < p_in)
@@ -191,16 +186,16 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
     noise_p = config_value(cfg, "noise.p", "a number in [0, 1]", lambda v: 0 <= v <= 1)
     magnitude = (config_value(cfg, "noise.magnitude", "a positive number", lambda v: v > 0)
                  if noise_p > 0 else None)
-    config_value(cfg, "operator.dim", f"the dataset feature dim {d}", lambda v: v == d, int, d)
+    config_value(cfg, "operator.dim", f"the dataset feature dim {d}", lambda v: v == d, integer, d)
     target = config_value(cfg, "operator.target_contraction", "a number in (0, 1)",
                           lambda v: 0 < v < 1, default=0.9)
     alpha = config_value(cfg, "picard.alpha", "a number in [0, 1]", lambda v: 0 <= v <= 1)
     epsilon = config_value(cfg, "picard.epsilon", "a positive number", lambda v: v > 0)
-    max_iter = config_value(cfg, "picard.max_iter", "an integer >= 1", lambda v: v >= 1, int)
+    max_iter = config_value(cfg, "picard.max_iter", "an integer >= 1", lambda v: v >= 1, integer)
     lr = config_value(cfg, "readout.lr", "a positive number", lambda v: v > 0, default=0.5)
-    epochs = config_value(cfg, "readout.epochs", "an integer >= 1", lambda v: v >= 1, int, 500)
+    epochs = config_value(cfg, "readout.epochs", "an integer >= 1", lambda v: v >= 1, integer, 500)
     ds_seed, noise_seed, op_seed, split_seed0 = (
-        config_value(cfg, path, "an integer >= 0", lambda v: v >= 0, int, 0)
+        config_value(cfg, path, "an integer >= 0", lambda v: v >= 0, integer, 0)
         for path in ("dataset.seed", "noise.seed", "operator.seed", "readout.split_seed"))
 
     results = []

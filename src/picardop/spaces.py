@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, config_value
+from .errors import ConfigError, NonFiniteError, config_value, integer
 
 NORM_KINDS = ("discrete-L2", "sup", "direct-sum")
 
@@ -63,9 +63,6 @@ class Grid:
     def n(self) -> int:
         return int(self.points.size)
 
-    def __len__(self) -> int:
-        return self.points.size
-
     def matches(self, other: "Grid") -> bool:
         return self is other or (
             self.points.size == other.points.size
@@ -103,19 +100,12 @@ def grid_uniform(a: float, b: float, n: int, rule: str = "trapezoid") -> Grid:
     return Grid(points, weights, rule=rule)
 
 
-def grid_to_json(grid: Grid) -> dict:
-    """Serialize a uniform grid as ``{a, b, n, rule}``."""
-    if grid.rule is None:
-        raise ValueError("only grids built by grid_uniform serialize to {a, b, n, rule}")
-    return {"a": grid.a, "b": grid.b, "n": grid.n, "rule": grid.rule}
-
-
 def grid_from_json(obj: dict, field: str = "grid") -> Grid:
-    """The grid ``{a, b, n, rule}`` of ``grid_to_json``; a ConfigError names
+    """The uniform grid ``{a, b, n, rule}`` of ``grid_uniform``; a ConfigError names
     ``<field>.<key>`` for a bad value, ``field`` for one that grid_uniform rejects."""
     cfg = functools.reduce(lambda node, key: {key: node}, reversed(field.split(".")), obj)
     a, b = (config_value(cfg, f"{field}.{key}", "a number") for key in "ab")
-    n = config_value(cfg, f"{field}.n", "an integer", cast=int)
+    n = config_value(cfg, f"{field}.n", "an integer", cast=integer)
     rule = config_value(cfg, f"{field}.rule", "a quadrature rule name", cast=None,
                         default="trapezoid")
     try:

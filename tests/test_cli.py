@@ -118,6 +118,15 @@ class TestSolveCommand:
         assert "'f'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["invalid-json", "top-level-array"])
+    def test_unusable_config_text_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        assert "'config'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
@@ -258,6 +267,47 @@ class TestRatesCommand:
         assert [float(row[3]) for row in rows] == [float(np.sqrt(5.0)), 0.0, 0.0]
         assert [row[4] for row in rows] == ["", "0.0", "0.0"]
         assert [row[5] for row in rows] == [row[3] for row in rows]
+
+    def test_sup_norm_default_k_is_max_row_sum(self, tmp_path):
+        # the spectral norm of this A is 0.6735, but in the sup norm x -> A x
+        # contracts by its max absolute row sum, 0.95
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": [[0.5, 0.45], [0.0, 0.05]], "b": [1.0, 0.0]},
+            "f": [0.0, 1.0],
+            "picard": {"lambda": 1.0, "epsilon": 1e-10, "max_iter": 5000, "norm": "sup"},
+        })
+        out = tmp_path / "out"
+        assert main(["rates", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["contraction_constant"] == pytest.approx(0.95, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sup_norm_default_k_is_accepted(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        A = rng.standard_normal((d, d))
+        A *= rng.uniform(0.2, 0.9) / np.abs(A).sum(axis=1).max()
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": A.tolist(), "b": rng.standard_normal(d).tolist()},
+            "f": rng.standard_normal(d).tolist(),
+            "picard": {"lambda": float(rng.choice([-1.0, 1.0])), "epsilon": 1e-10,
+                       "max_iter": 5000, "norm": "sup"},
+        })
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_diverging_reference_exits_three(self, tmp_path, capsys):
+        # k = 0.1 passes the contraction check, but T(x) = 2x sends the
+        # reference solve off to infinity
+        cfg = write_config(tmp_path, "c.json", {
+            "operator": {"type": "affine", "A": [[2.0]], "b": [0.0]},
+            "f": [1.0],
+            "picard": {"lambda": 1.0, "epsilon": 1e-10, "max_iter": 1000},
+            "rates": {"k": 0.1},
+        })
+        out = tmp_path / "o"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_non_affine_needs_k_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -467,11 +517,30 @@ def bad_value(command, config, path, value, field=None, id=None):
     bad_value("gnn-cert", "gnn_cert.json", "operator.graph", {"n": "two", "edges": [[0, 1]]},
               "operator.graph.n"),
     bad_value("gnn-cert", "gnn_cert.json", "operator.graph.include_self", "false"),
+    bad_value("gnn-cert", "gnn_cert.json", "operator.graph",
+              {"n": 2, "edges": [], "include_self": False}, "target", id="no-neighborhoods"),
+    bad_value("gnn-cert", "gnn_cert.json", "operator.W", [[0.0]], "target", id="zero-W"),
+    bad_value("solve", "affine_solve.json", "picard.max_iter", 2.5),
+    bad_value("solve", "affine_solve.json", "picard.max_iter", True),
+    bad_value("gnn-cert", "gnn_cert.json", "operator.graph", {"n": 2, "edges": [[0.5, 1]]},
+              "operator.graph.edges", id="fractional-node-id"),
+    bad_value("gnn-cert", "gnn_cert.json", "operator.graph", {"n": 2, "edges": [[0, True]]},
+              "operator.graph.edges", id="boolean-node-id"),
 ])
 def test_bad_value_names_field(tmp_path, capsys, command, config, path, value, field):
     cfg = json.loads((CONFIGS / config).read_text())
     set_path(cfg, path.split("."), value)
     assert_config_error_names(tmp_path, capsys, command, cfg, field)
+
+
+def test_integral_floats_are_integers(tmp_path):
+    cfg = json.loads((CONFIGS / "gnn_cert.json").read_text())
+    cfg["operator"]["graph"] = {"n": 3.0, "edges": [[0.0, 1], [1, 2.0]]}
+    cfg["operator"]["W"] = [[0.5]]
+    out = tmp_path / "o"
+    assert main(["gnn-cert", "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "certificate.json").read_text())["coeffs"] == [2, 3, 2]
 
 
 @pytest.mark.parametrize("command, config", [

@@ -229,17 +229,33 @@ class TestGraph:
     def test_symmetry(self):
         g = Graph(4, [(0, 1), (1, 2)], include_self=False)
         for u in range(4):
-            for v in g.adjacency[u]:
-                assert u in g.adjacency[v]
+            for v in g.neighborhood(u):
+                assert u in g.neighborhood(v)
+
+    @given(st.data())
+    def test_csr_matches_set_reference(self, data):
+        # duplicate and reversed pairs must collapse as in a set-built graph
+        n = data.draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+        include_self = data.draw(st.booleans())
+        g = Graph(n, edges, include_self=include_self)
+        want = [{v} if include_self else set() for v in range(n)]
+        for u, v in edges:
+            want[u].add(v)
+            want[v].add(u)
+        assert [g.neighborhood(v).tolist() for v in range(n)] == [sorted(s) for s in want]
+        assert neighborhood_membership_counts(g).tolist() == [len(s) for s in want]
+
+    @pytest.mark.parametrize("edges", [[(0, 0.5)], [("0", 1)], [(0, 1, 2)]])
+    def test_rejects_non_integer_pairs(self, edges):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
 
     def test_neighborhood_with_self(self):
         g = Graph(3, [(0, 1)], include_self=True)
         assert list(g.neighborhood(0)) == [0, 1]
         assert list(g.neighborhood(2)) == [2]
-
-    def test_from_neighbor_lists_asymmetry_rejected(self):
-        with pytest.raises(ValueError):
-            Graph.from_neighbor_lists([[1], []])
 
     def test_membership_counts(self):
         path3 = Graph(3, [(0, 1), (1, 2)], include_self=False)
@@ -254,7 +270,7 @@ class TestGraph:
         path.write_text("0 1\n1 2\n# comment\n")
         g = graph_from_edgelist(path, include_self=False)
         assert g.n == 3
-        assert g.degree(1) == 2
+        assert g.neighborhood(1).tolist() == [0, 2]
 
 
 class TestGnnAggregate:

@@ -43,18 +43,29 @@ def experiment_config(**overrides):
 class TestPlantedPartition:
     def test_full_within_no_across_gives_two_cliques(self):
         ds = planted_partition(4, 3, p_in=1.0, p_out=0.0, separation=1.0, seed=0)
-        assert list(ds.graph.adjacency[0]) == [1]
-        assert list(ds.graph.adjacency[2]) == [3]
+        assert list(ds.graph.neighborhood(0)) == [0, 1]
+        assert list(ds.graph.neighborhood(2)) == [2, 3]
         assert list(ds.labels) == [0, 0, 1, 1]
 
     def test_deterministic_under_seed(self):
         a = planted_partition(200, 8, 0.1, 0.01, 2.0, seed=7)
         b = planted_partition(200, 8, 0.1, 0.01, 2.0, seed=7)
-        assert all(np.array_equal(x, y) for x, y in zip(a.graph.adjacency,
-                                                        b.graph.adjacency))
+        assert np.array_equal(a.graph.indptr, b.graph.indptr)
+        assert np.array_equal(a.graph.indices, b.graph.indices)
         assert np.array_equal(a.features.stacked(), b.features.stacked())
         c = planted_partition(200, 8, 0.1, 0.01, 2.0, seed=8)
         assert not np.array_equal(a.features.stacked(), c.features.stacked())
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_edges_match_pairwise_coin_flips(self, seed):
+        n, p_in, p_out = 40, 0.3, 0.05
+        ds = planted_partition(n, 2, p_in, p_out, 1.0, seed=seed)
+        coin = np.random.default_rng(seed).random((n, n))
+        labels = ds.labels
+        want = [(u, v) for u in range(n) for v in range(u + 1, n)
+                if coin[u, v] < (p_in if labels[u] == labels[v] else p_out)]
+        got = [(u, int(v)) for u in range(n) for v in ds.graph.neighborhood(u) if v > u]
+        assert got == want
 
     def test_labels_balanced(self):
         ds = planted_partition(50, 4, 0.2, 0.05, 1.0, seed=3)
