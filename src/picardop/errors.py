@@ -36,17 +36,25 @@ def integer(value) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
+def number(value) -> float:
+    """``value`` as a float: ints and floats pass, booleans, strings and anything else raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"not a number: {value!r}")
+
+
 REQUIRED = object()  # the default of a field that must be present
 
 
-def config_value(cfg: dict, path: str, need: str, valid=None, cast=float, default=REQUIRED):
+def config_value(cfg: dict, path: str, need: str, valid=None, cast=number, default=REQUIRED):
     """The field at dotted ``path`` of ``cfg``, converted by ``cast`` and checked by ``valid``.
 
     A missing (or null) section or field gives ``default``, unchecked. Every
     other failure is a ConfigError: a section that is not an object names the
     section; a missing required field, a failed cast, a non-finite number or a
     value that ``valid`` rejects names ``path`` and says it must be ``need``.
-    ``cast=None`` keeps the JSON value as it is; integer fields use ``cast=integer``.
+    The default ``cast=number`` refuses booleans and strings; ``cast=None`` keeps
+    the JSON value as it is; integer fields use ``cast=integer``.
     """
     node, parts = cfg, path.split(".")
     for depth, key in enumerate(parts):

@@ -224,7 +224,10 @@ class Graph:
         keys = [u * n + v, v * n + u]
         if include_self:
             keys.append(np.arange(n) * (n + 1))
-        keys = np.unique(np.concatenate(keys))
+        keys = np.sort(np.concatenate(keys))
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
         self.n = n
         self.include_self = bool(include_self)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)

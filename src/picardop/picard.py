@@ -21,9 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, NonFiniteError, config_value, integer
+from .errors import DivergenceError, config_value, integer
 from .operators import apply
-from .spaces import NORM_KINDS, lincomb, norm, zero_like
+from .spaces import (NORM_KINDS, flat_norm, lincomb, norm, space_values, unflatten_like,
+                     zero_like)
 
 DIVERGENCE_STEP_RATIO = 1e12
 
@@ -128,6 +129,10 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         raise ValueError("max_iter must be at least 1")
     record_epsilon, record_max = record_stop or (epsilon, max_iter)
     recording = record_iterates
+    # The space is fixed once: the steps run on flat float arrays, and each
+    # iterate is wrapped in x0's grid or block structure only for the operator.
+    fv, yv = space_values(f, x0)
+    block_dims = getattr(x0, "block_dims", None)
     y = x0
     steps = []
     iterates = [y] if record_iterates else None
@@ -136,18 +141,26 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     for k in range(max_iter):
         try:
             ty = apply(op, y)
-            target = lincomb(lam, ty, 1.0, f)
-            resid = norm(lincomb(1.0, target, -1.0, y), norm_kind)
-            y_next = target if alpha == 0.0 else lincomb(alpha, y, 1.0 - alpha, target)
-            step = norm(lincomb(1.0, y_next, -1.0, y), norm_kind)
-        except NonFiniteError as exc:
-            raise DivergenceError(f"iterate became non-finite at iteration {k}",
-                                  _trace(steps, False, iterates)) from exc
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} (iteration {k})",
                                   _trace(steps, False, iterates)) from exc
+        tv, _ = space_values(ty, f)
+        target = lam * tv + fv
+        diff = target - yv
+        resid = flat_norm(diff, norm_kind, block_dims)
+        if alpha == 0.0:
+            y_next, step = target, resid
+        else:
+            y_next = alpha * yv + (1.0 - alpha) * target
+            step = flat_norm(y_next - yv, norm_kind, block_dims)
+        # a NaN or Inf entry always makes a norm non-finite, while finite
+        # entries can overflow one, so the entries are checked only then
+        if not (math.isfinite(resid) and math.isfinite(step)) and not all(
+                np.isfinite(v).all() for v in (target, diff, y_next, y_next - yv)):
+            raise DivergenceError(f"iterate became non-finite at iteration {k}",
+                                  _trace(steps, False, iterates))
         steps.append(StepRecord(k, step, resid))
-        y = y_next
+        y, yv = unflatten_like(x0, y_next), y_next
         if recording:
             iterates.append(y)
             recording = step > record_epsilon and len(steps) < record_max

@@ -65,8 +65,9 @@ def planted_partition(n: int, d: int, p_in: float, p_out: float,
     rng = np.random.default_rng(seed)
     labels = np.repeat([0, 1], n // 2)
     coin = rng.random((n, n))
-    P = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    graph = Graph(n, np.argwhere(np.triu(coin < P, 1)), include_self=True)
+    same_class = labels[:, None] == labels[None, :]
+    linked = np.where(same_class, coin < p_in, coin < p_out)
+    graph = Graph(n, np.argwhere(np.triu(linked, 1)), include_self=True)
     means = np.zeros((n, d))
     means[:, 0] = (2 * labels - 1) * (separation / 2.0)
     feats = means + rng.standard_normal((n, d))

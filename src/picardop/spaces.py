@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ NORM_KINDS = ("discrete-L2", "sup", "direct-sum")
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} must be finite (no NaN/Inf)")
 
 
@@ -208,6 +209,27 @@ class DirectSumVector:
 _STRUCTURED = (GridFunction, DirectSumVector)
 
 
+def flat_norm(values: np.ndarray, kind: str, block_dims: Sequence[int] | None = None) -> float:
+    """The ``kind`` norm of a float array's entries.
+
+    ``block_dims`` splits the entries, in order, into direct-sum blocks; without
+    it the direct-sum norm is the L2 norm of one block. Uniform blocks take all
+    their L2 norms in one ``vecdot`` and sum them left to right, as the Python
+    ``sum`` over per-block ``np.linalg.norm`` calls that mixed dims use does.
+    """
+    if kind == "sup":
+        return float(np.max(np.abs(values))) if values.size else 0.0
+    if kind == "direct-sum" and block_dims is not None:
+        if len(set(block_dims)) == 1:
+            S = values.reshape(len(block_dims), block_dims[0])
+            return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
+        ends = itertools.accumulate(block_dims)
+        return float(sum(np.linalg.norm(values[end - d:end])
+                         for d, end in zip(block_dims, ends)))
+    flat = values.ravel()
+    return math.sqrt(flat.dot(flat))  # np.linalg.norm's own expression
+
+
 def norm(x, kind: str = "discrete-L2") -> float:
     """Norm of a vector-like value.
 
@@ -217,12 +239,8 @@ def norm(x, kind: str = "discrete-L2") -> float:
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-    if kind == "direct-sum" and isinstance(x, DirectSumVector):
-        return float(sum(np.linalg.norm(b) for b in x.blocks))
     values = x.values if isinstance(x, _STRUCTURED) else np.asarray(x, dtype=float)
-    if kind == "sup":
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    return float(np.linalg.norm(values.ravel()))
+    return flat_norm(values, kind, getattr(x, "block_dims", None))
 
 
 def direct_sum_norm(x: DirectSumVector) -> float:
@@ -230,17 +248,30 @@ def direct_sum_norm(x: DirectSumVector) -> float:
     return norm(x, "direct-sum")
 
 
-def lincomb(a: float, x, b: float, y):
-    """Elementwise a*x + b*y for two vector-like values of matching shape."""
+def space_values(x, y):
+    """The values of ``x`` and ``y`` as float arrays, once they are known to share a space.
+
+    Grid functions must share one grid and direct sums one block structure (the
+    flat ``values`` are returned); plain arrays must share one shape. Anything
+    else is a ValueError.
+    """
     if isinstance(x, _STRUCTURED) or isinstance(y, _STRUCTURED):
         if not (isinstance(x, _STRUCTURED) and x.same_space(y)):
             raise ValueError("operands must share one grid or one block structure")
-        return x.with_values(a * x.values + b * y.values)
+        return x.values, y.values
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
         raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    out = a * xa + b * ya
+    return xa, ya
+
+
+def lincomb(a: float, x, b: float, y):
+    """Elementwise a*x + b*y for two vector-like values of matching shape."""
+    xv, yv = space_values(x, y)
+    out = a * xv + b * yv
+    if isinstance(x, _STRUCTURED):
+        return x.with_values(out)
     _require_finite(out, "linear combination")
     return out
 

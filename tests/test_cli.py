@@ -522,6 +522,8 @@ def bad_value(command, config, path, value, field=None, id=None):
     bad_value("gnn-cert", "gnn_cert.json", "operator.W", [[0.0]], "target", id="zero-W"),
     bad_value("solve", "affine_solve.json", "picard.max_iter", 2.5),
     bad_value("solve", "affine_solve.json", "picard.max_iter", True),
+    bad_value("solve", "affine_solve.json", "picard.lambda", True),
+    bad_value("solve", "affine_solve.json", "picard.epsilon", "1e-11"),
     bad_value("gnn-cert", "gnn_cert.json", "operator.graph", {"n": 2, "edges": [[0.5, 1]]},
               "operator.graph.edges", id="fractional-node-id"),
     bad_value("gnn-cert", "gnn_cert.json", "operator.graph", {"n": 2, "edges": [[0, True]]},

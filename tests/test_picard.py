@@ -5,6 +5,9 @@ import pytest
 
 from picardop import (
     AffineOperator,
+    DirectSumVector,
+    GnnAggregateOperator,
+    Graph,
     GridFunction,
     HammersteinOperator,
     PicardConfig,
@@ -15,6 +18,7 @@ from picardop import (
     make_kernel,
     norm,
     picard_solve,
+    rescale_to_contraction,
     predicted_iterations,
     residual,
     spectral_norm,
@@ -23,6 +27,7 @@ from picardop import (
 )
 from picardop.errors import ConfigError, DivergenceError
 from picardop.picard import TRACE_CSV_HEADER
+from picardop.spaces import NORM_KINDS
 
 
 def contraction(rng, d, sigma):
@@ -123,6 +128,127 @@ class TestPicardSolve:
         assert len(trace.iterates) == n + 1
         assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, full.iterates))
         assert np.array_equal(x, full_x) and trace.steps == full.steps
+
+
+def oracle_norm(x, kind):
+    """The norm as a Python sum of per-block np.linalg.norm calls."""
+    if kind == "direct-sum" and isinstance(x, DirectSumVector):
+        return float(sum(np.linalg.norm(b) for b in x.blocks))
+    values = x if isinstance(x, np.ndarray) else x.values
+    return float(np.max(np.abs(values)) if kind == "sup" else np.linalg.norm(values.ravel()))
+
+
+def oracle_lincomb(a, x, b, y):
+    if isinstance(x, np.ndarray):
+        return a * x + b * y
+    return x.with_values(a * x.values + b * y.values)
+
+
+def oracle_solve(op, cfg, f):
+    """The Picard loop on vector objects: an apply, four combinations and two norms a step."""
+    alpha, y, steps = cfg.smoothing, f, []
+    for _ in range(cfg.max_iter):
+        target = oracle_lincomb(cfg.lam, op(y), 1.0, f)
+        resid = oracle_norm(oracle_lincomb(1.0, target, -1.0, y), cfg.norm_kind)
+        y_next = target if alpha == 0.0 else oracle_lincomb(alpha, y, 1.0 - alpha, target)
+        step = oracle_norm(oracle_lincomb(1.0, y_next, -1.0, y), cfg.norm_kind)
+        steps.append((step, resid))
+        y = y_next
+        if step <= cfg.epsilon:
+            break
+    return y, steps
+
+
+def random_problem(family, rng):
+    """A contractive operator of ``family`` and a free term in its space."""
+    if family == "affine":
+        d = int(rng.integers(1, 20))
+        return contraction(rng, d, rng.uniform(0.3, 0.95)), rng.standard_normal(d)
+    if family == "gnn":
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 7))
+        edges = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
+        graph = Graph(n, edges[edges[:, 0] != edges[:, 1]], include_self=True)
+        alpha_max = int(np.diff(graph.indptr).max())
+        W = rescale_to_contraction(rng.standard_normal((d, d)), alpha_max,
+                                   rng.uniform(0.3, 0.95))
+        scale = 10.0 ** rng.uniform(-4, 4)
+        return (GnnAggregateOperator(graph, W),
+                DirectSumVector.from_matrix(scale * rng.standard_normal((n, d))))
+    n = int(rng.integers(3, 80))
+    grid = grid_uniform(0.0, 1.0, n)
+    if family == "table":
+        kernel = make_kernel("table", table=rng.uniform(-0.9, 0.9, (n, n)))
+    else:
+        kernel = make_kernel(family, params=rng.uniform(-0.45, 0.45, 4))
+    return HammersteinOperator(grid, kernel), GridFunction(grid, rng.standard_normal(n))
+
+
+FAMILIES = ("affine", "separable-linear", "bounded-nonlinear", "table", "gnn")
+
+
+class TestFlatArrayLoop:
+    """The flat-array loop against the loop on vector objects, compared with ==."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("norm_kind", NORM_KINDS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_matches_object_loop(self, family, norm_kind, alpha):
+        rng = np.random.default_rng([FAMILIES.index(family), NORM_KINDS.index(norm_kind),
+                                     int(10 * alpha)])
+        for _ in range(8):
+            op, f = random_problem(family, rng)
+            cfg = PicardConfig(lam=rng.uniform(0.5, 1.0), epsilon=1e-11, max_iter=300,
+                               smoothing=alpha, norm_kind=norm_kind)
+            sol, trace = picard_solve(op, cfg, f)
+            ref_sol, ref_steps = oracle_solve(op, cfg, f)
+            assert [(s.step_norm, s.residual) for s in trace.steps] == ref_steps
+            values = sol if isinstance(sol, np.ndarray) else sol.values
+            ref_values = ref_sol if isinstance(ref_sol, np.ndarray) else ref_sol.values
+            assert values.tobytes() == ref_values.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_combination_names_the_iteration(self):
+        # each apply stays finite; lambda*T(y) + f first overflows at iteration 3
+        op = AffineOperator(np.eye(1))
+        cfg = PicardConfig(lam=2.0, epsilon=1e-12, max_iter=50)
+        with pytest.raises(DivergenceError) as err:
+            picard_solve(op, cfg, np.array([1e307]))
+        assert str(err.value) == "iterate became non-finite at iteration 3"
+        assert err.value.trace.iterations_used == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("family, message", [
+        ("affine", "operator produced non-finite output (iteration 0)"),
+        ("gnn", "block values must be finite (no NaN/Inf) (iteration 0)"),
+        ("table", "grid function values must be finite (no NaN/Inf) (iteration 0)"),
+    ])
+    def test_non_finite_apply_keeps_the_operator_message(self, family, message):
+        # every operator maps its 1e10-sized free term past the float range
+        grid = grid_uniform(0, 1, 3)
+        op, f = {
+            "affine": lambda: (AffineOperator([[1e300]]), np.array([1e10])),
+            "gnn": lambda: (GnnAggregateOperator(Graph(2, [(0, 1)]), [[1e300]]),
+                            DirectSumVector.from_matrix([[1e10], [2.0]])),
+            "table": lambda: (HammersteinOperator(grid, make_kernel("table",
+                                                                   table=np.full((3, 3), 1e300))),
+                              GridFunction(grid, [1e10, 1.0, 1.0])),
+        }[family]()
+        cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
+        with pytest.raises(DivergenceError) as err:
+            picard_solve(op, cfg, f)
+        assert str(err.value) == message
+        assert err.value.trace.iterations_used == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("norm_kind", ["discrete-L2", "direct-sum"])
+    def test_overflowing_norm_of_finite_entries_is_no_error(self, norm_kind):
+        # 1e200**2 overflows the sum of squares, but every entry stays finite
+        op = AffineOperator(0.5 * np.eye(2))
+        cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=5, norm_kind=norm_kind)
+        sol, trace = picard_solve(op, cfg, np.array([1e200, 1e200]))
+        assert trace.iterations_used == 5
+        assert all(s.step_norm == s.residual == np.inf for s in trace.steps)
+        assert np.isfinite(sol).all()
 
 
 class TestResidual:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from picardop import (
@@ -21,6 +21,7 @@ from picardop import (
     zero_like,
 )
 from picardop.errors import NonFiniteError
+from picardop.spaces import flat_norm
 
 
 class TestGridUniform:
@@ -265,6 +266,30 @@ class TestFlatStorageMatchesPerBlockReference:
         x = DirectSumVector([[0.0], [0.0, 0.0]]).with_values(flat)
         flat[0] = 9.0
         assert x.blocks[0].tolist() == [1.0]
+
+
+@st.composite
+def scaled_blocks(draw):
+    """Uniform or mixed block dims and seeded Gaussian entries scaled by 1e-8 .. 1e8."""
+    dims = draw(st.one_of(
+        st.lists(st.integers(0, 70), min_size=1, max_size=40),
+        st.tuples(st.integers(1, 200), st.integers(0, 70)).map(lambda nd: [nd[1]] * nd[0]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-8, 8))
+    return tuple(dims), rng.standard_normal(sum(dims)) * scale
+
+
+class TestFlatNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_blocks())
+    def test_direct_sum_equals_per_block_loop(self, case):
+        dims, values = case
+        ends = np.cumsum(dims)
+        blocks = [values[end - d:end] for d, end in zip(dims, ends)]
+        per_block = sum(np.linalg.norm(b) for b in blocks)
+        assert flat_norm(values, "direct-sum", dims) == per_block
+        assert norm(DirectSumVector(blocks), "direct-sum") == per_block
 
 
 class TestLincomb:
