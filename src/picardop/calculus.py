@@ -20,7 +20,8 @@ from .operators import (
     apply,
     neighborhood_membership_counts,
 )
-from .spaces import flatten_values, lincomb, norm, unflatten_like
+from .spaces import (DirectSumVector, GridFunction, flatten_values, lincomb, norm,
+                     unflatten_like)
 
 FD_JACOBIAN_DIM_LIMIT = 64
 FD_DEFAULT_STEP = 1e-5
@@ -160,13 +161,15 @@ def _jacobian(op, u, step: float) -> np.ndarray:
     """Jacobian at u, one column per unit direction.
 
     Attention columns are analytic derivatives; any other operator gets
-    central differences with the given step.
+    central differences with the given step, applied to u's flat values (in
+    the shape of a plain-array u).
     """
     flat = flatten_values(u)
     dim = flat.size
     if dim > FD_JACOBIAN_DIM_LIMIT:
         raise ValueError(f"Jacobian refused above {FD_JACOBIAN_DIM_LIMIT} dimensions "
                          f"(got {dim})")
+    shape = flat.shape if isinstance(u, (GridFunction, DirectSumVector)) else np.shape(u)
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
@@ -174,8 +177,8 @@ def _jacobian(op, u, step: float) -> np.ndarray:
         if isinstance(op, AttentionOperator):
             col = attention_frechet(op, u, unflatten_like(u, e)).ravel()
         else:
-            plus = apply(op, unflatten_like(u, flat + step * e))
-            minus = apply(op, unflatten_like(u, flat - step * e))
+            plus = apply(op, (flat + step * e).reshape(shape))
+            minus = apply(op, (flat - step * e).reshape(shape))
             col = (flatten_values(plus) - flatten_values(minus)) / (2 * step)
         cols.append(col)
     return np.column_stack(cols)

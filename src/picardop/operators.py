@@ -2,6 +2,16 @@
 
 Every operator is an immutable callable ``T`` acting on one of the vector-like
 types from :mod:`picardop.spaces`. Solvers consume ``lambda*T(x) + f`` shifts.
+
+Three rules hold for every operator here:
+
+- It accepts its domain's flat values as a plain float array and returns a
+  plain array: a Hammerstein operator the grid's ``(n,)`` values, a graph
+  aggregation the ``(n*d,)`` values of its blocks. Given a ``GridFunction`` or
+  ``DirectSumVector`` it returns one; both forms share one map, so their
+  values are the same bytes. Affine and attention maps act on plain arrays.
+- It checks its own output and raises ``NonFiniteError`` on a NaN or Inf entry.
+- ``apply`` only turns that error into a ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -17,10 +27,12 @@ from .spaces import (
     DirectSumVector,
     Grid,
     GridFunction,
-    flatten_values,
     grid_from_json,
     load_matrix_text,
+    require_finite,
 )
+
+NON_FINITE_OUTPUT = "operator produced non-finite output"
 
 
 def _finite_matrix(M, name: str, square: bool = False) -> np.ndarray:
@@ -57,7 +69,9 @@ class AffineOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a length-{self.dim} vector, got shape {x.shape}")
-        return self.A @ x + self.b
+        out = self.A @ x + self.b
+        require_finite(out, NON_FINITE_OUTPUT)
+        return out
 
 
 class AttentionOperator:
@@ -84,7 +98,9 @@ class AttentionOperator:
         Q = Y @ self.Wq
         K = Y @ self.Wk
         V = Y @ self.Wv
-        return (Q @ K.T) @ V
+        out = (Q @ K.T) @ V
+        require_finite(out, NON_FINITE_OUTPUT)
+        return out
 
 
 class SeparableLinearKernel:
@@ -184,16 +200,23 @@ class HammersteinOperator:
         """The dense n x n kernel weight matrix K[i, j] = K(t_i, s_j)."""
         return self.kernel.weight_matrix(self.grid.points, self.grid.points)
 
-    def __call__(self, y: GridFunction) -> GridFunction:
-        if not isinstance(y, GridFunction) or not y.grid.matches(self.grid):
-            raise ValueError("input must be a GridFunction on the operator's grid")
-        phi = self.kernel.nonlinearity(y.values)
+    def __call__(self, y):
+        """T(y) for a GridFunction on the grid, or for its ``(n,)`` values as a plain array."""
+        if isinstance(y, GridFunction):
+            if not y.grid.matches(self.grid):
+                raise ValueError("input must be a GridFunction on the operator's grid")
+            return GridFunction(self.grid, self._map(y.values))
+        return self._map(_flat_input(y, self.grid.n))
+
+    def _map(self, values: np.ndarray) -> np.ndarray:
+        phi = self.kernel.nonlinearity(values)
         if self._factors is None:
             out = self._K @ (self.grid.weights * phi)
         else:
             U, Vw = self._factors
             out = U @ (phi @ Vw)
-        return GridFunction(self.grid, out)
+        require_finite(out, "grid function values must be finite (no NaN/Inf)")
+        return out
 
 
 class Graph:
@@ -279,36 +302,46 @@ class GnnAggregateOperator:
         self._members = np.insert(graph.indices, graph.indptr[1:], graph.n)
         self._starts = graph.indptr[:-1] + np.arange(graph.n)
 
-    def __call__(self, F: DirectSumVector) -> DirectSumVector:
-        if not isinstance(F, DirectSumVector):
-            raise ValueError("input must be a DirectSumVector")
-        if F.n_blocks != self.graph.n:
-            raise ValueError(f"expected {self.graph.n} blocks, got {F.n_blocks}")
-        if not F.is_uniform() or F.block_dims[0] != self.d:
-            raise ValueError(f"expected blocks of dim {self.d}, got {F.block_dims}")
+    def __call__(self, F):
+        """T(F) for a DirectSumVector of n blocks of dim d, or for its ``(n*d,)`` values."""
+        if isinstance(F, DirectSumVector):
+            if F.n_blocks != self.graph.n:
+                raise ValueError(f"expected {self.graph.n} blocks, got {F.n_blocks}")
+            if not F.is_uniform() or F.block_dims[0] != self.d:
+                raise ValueError(f"expected blocks of dim {self.d}, got {F.block_dims}")
+            return F.with_values(self._map(F.values))
+        return self._map(_flat_input(F, self.graph.n * self.d))
+
+    def _map(self, values: np.ndarray) -> np.ndarray:
         # relu output is >= 0, so the zero row leaves every maximum as it is
         # and gives an empty neighborhood the zero block
         transformed = np.zeros((self.graph.n + 1, self.d))
-        np.maximum(F.stacked() @ self.W.T, 0.0, out=transformed[:-1])
-        out = np.maximum.reduceat(transformed[self._members], self._starts)
-        return F.with_values(out.ravel())
+        np.maximum(values.reshape(self.graph.n, self.d) @ self.W.T, 0.0, out=transformed[:-1])
+        out = np.maximum.reduceat(transformed[self._members], self._starts).ravel()
+        require_finite(out, "block values must be finite (no NaN/Inf)")
+        return out
 
 
 def apply(op, x):
-    """Evaluate an operator on a vector-like input.
+    """Evaluate an operator on a vector-like input or on its flat values.
 
-    Non-finite output is reported as a DivergenceError so the solver can fail
-    loudly when a map blows up. Grid functions and direct sums are checked
-    when they are built; any other output is checked here.
+    The operators of this module check their own output; their
+    NonFiniteError is reported here as a DivergenceError, so the solver can
+    fail loudly when a map blows up. The output of any other callable is not
+    checked here: the Picard loop's norm guard ("iterate became non-finite at
+    iteration k") and ``lincomb``'s check catch a non-finite one.
     """
     try:
-        out = op(x)
+        return op(x)
     except NonFiniteError as exc:
         raise DivergenceError(str(exc)) from exc
-    if (not isinstance(out, (GridFunction, DirectSumVector))
-            and not np.all(np.isfinite(flatten_values(out)))):
-        raise DivergenceError("operator produced non-finite output")
-    return out
+
+
+def _flat_input(values, size: int) -> np.ndarray:
+    if not isinstance(values, np.ndarray) or values.shape != (size,):
+        got = getattr(values, "shape", type(values).__name__)
+        raise ValueError(f"expected an array of {size} flat values, got {got}")
+    return values
 
 
 def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:

@@ -129,22 +129,23 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         raise ValueError("max_iter must be at least 1")
     record_epsilon, record_max = record_stop or (epsilon, max_iter)
     recording = record_iterates
-    # The space is fixed once: the steps run on flat float arrays, and each
-    # iterate is wrapped in x0's grid or block structure only for the operator.
+    # The space is fixed once: the steps, the operator included, run on flat
+    # float arrays, and only the recorded iterates and the solution are
+    # wrapped in x0's grid or block structure.
     fv, yv = space_values(f, x0)
     block_dims = getattr(x0, "block_dims", None)
-    y = x0
     steps = []
-    iterates = [y] if record_iterates else None
+    iterates = [x0] if record_iterates else None
     first_step = None
     converged = False
     for k in range(max_iter):
         try:
-            ty = apply(op, y)
+            tv = np.asarray(apply(op, yv), dtype=float)
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} (iteration {k})",
                                   _trace(steps, False, iterates)) from exc
-        tv, _ = space_values(ty, f)
+        if tv.shape != yv.shape:
+            raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
         target = lam * tv + fv
         diff = target - yv
         resid = flat_norm(diff, norm_kind, block_dims)
@@ -160,9 +161,9 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
             raise DivergenceError(f"iterate became non-finite at iteration {k}",
                                   _trace(steps, False, iterates))
         steps.append(StepRecord(k, step, resid))
-        y, yv = unflatten_like(x0, y_next), y_next
+        yv = y_next
         if recording:
-            iterates.append(y)
+            iterates.append(unflatten_like(x0, yv))
             recording = step > record_epsilon and len(steps) < record_max
         if first_step is None:
             first_step = step
@@ -173,7 +174,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         if step <= epsilon:
             converged = True
             break
-    return y, _trace(steps, converged, iterates)
+    return unflatten_like(x0, yv), _trace(steps, converged, iterates)
 
 
 def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,

@@ -18,9 +18,17 @@ from .errors import ConfigError, NonFiniteError, config_value, integer
 NORM_KINDS = ("discrete-L2", "sup", "direct-sum")
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{what} must be finite (no NaN/Inf)")
+def require_finite(arr: np.ndarray, message: str) -> None:
+    """Raise NonFiniteError(message) if any entry of the float array is NaN or Inf.
+
+    A NaN or Inf entry always makes the sum of squares non-finite, so one dot
+    product screens the array; the entries are scanned only when that sum is
+    not finite, which finite entries can also cause by overflowing it.
+    ``np.vdot`` is used because, unlike ``dot``, it gives no overflow warning
+    for such finite entries.
+    """
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        raise NonFiniteError(message)
 
 
 class Grid:
@@ -37,8 +45,8 @@ class Grid:
             raise ValueError("points and weights must be 1-D arrays of equal length")
         if points.size < 2:
             raise ValueError("grid needs at least 2 points")
-        _require_finite(points, "grid points")
-        _require_finite(weights, "grid weights")
+        require_finite(points, "grid points must be finite (no NaN/Inf)")
+        require_finite(weights, "grid weights must be finite (no NaN/Inf)")
         if not np.all(np.diff(points) > 0):
             raise ValueError("grid points must be strictly increasing")
         if not np.all(weights > 0):
@@ -122,7 +130,7 @@ class GridFunction:
         values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size != grid.n:
             raise ValueError(f"expected {grid.n} values on the grid, got shape {values.shape}")
-        _require_finite(values, "grid function values")
+        require_finite(values, "grid function values must be finite (no NaN/Inf)")
         values.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -160,7 +168,7 @@ class DirectSumVector:
         if values.shape != (sum(dims),):
             raise ValueError(f"expected {sum(dims)} flat values for block dims {dims}, "
                              f"got shape {values.shape}")
-        _require_finite(values, "block values")
+        require_finite(values, "block values must be finite (no NaN/Inf)")
         values.setflags(write=False)
         self.values = values
         self.block_dims = dims
@@ -184,7 +192,8 @@ class DirectSumVector:
         return len(self.block_dims)
 
     def is_uniform(self) -> bool:
-        return len(set(self.block_dims)) == 1
+        dims = self.block_dims
+        return dims.count(dims[0]) == len(dims)
 
     def stacked(self) -> np.ndarray:
         """Blocks as a read-only (n_blocks, d) view; requires uniform block dims."""
@@ -220,7 +229,7 @@ def flat_norm(values: np.ndarray, kind: str, block_dims: Sequence[int] | None = 
     if kind == "sup":
         return float(np.max(np.abs(values))) if values.size else 0.0
     if kind == "direct-sum" and block_dims is not None:
-        if len(set(block_dims)) == 1:
+        if block_dims.count(block_dims[0]) == len(block_dims):
             S = values.reshape(len(block_dims), block_dims[0])
             return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
         ends = itertools.accumulate(block_dims)
@@ -272,7 +281,7 @@ def lincomb(a: float, x, b: float, y):
     out = a * xv + b * yv
     if isinstance(x, _STRUCTURED):
         return x.with_values(out)
-    _require_finite(out, "linear combination")
+    require_finite(out, "linear combination must be finite (no NaN/Inf)")
     return out
 
 

@@ -18,7 +18,7 @@ from picardop import (
     neighborhood_membership_counts,
     operator_from_config,
 )
-from picardop.errors import ConfigError, DivergenceError
+from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 
 
 class TestAffine:
@@ -340,6 +340,80 @@ class TestGnnAggregate:
             apply(op, DirectSumVector([[1.0, 2.0]]))
 
 
+def operator_and_input(family, rng):
+    """An operator of ``family`` and an input in its domain's vector type."""
+    if family == "affine":
+        d = int(rng.integers(1, 9))
+        return (AffineOperator(rng.standard_normal((d, d)), rng.standard_normal(d)),
+                rng.standard_normal(d))
+    if family == "attention":
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        return AttentionOperator(*rng.standard_normal((3, d, d))), rng.standard_normal((m, d))
+    if family == "gnn":
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        edges = rng.integers(0, n, (2 * n, 2))
+        graph = Graph(n, edges[edges[:, 0] != edges[:, 1]], include_self=bool(rng.integers(2)))
+        return (GnnAggregateOperator(graph, rng.standard_normal((d, d))),
+                DirectSumVector.from_matrix(rng.standard_normal((n, d))))
+    n = int(rng.integers(2, 40))
+    grid = grid_uniform(0.0, 1.0, n)
+    kernel = (make_kernel("table", table=rng.standard_normal((n, n))) if family == "table"
+              else make_kernel(family, params=rng.standard_normal(4)))
+    return HammersteinOperator(grid, kernel), GridFunction(grid, rng.standard_normal(n))
+
+
+OPERATOR_FAMILIES = ("affine", "attention", "separable-linear", "bounded-nonlinear", "table",
+                     "gnn")
+
+
+class TestFlatValues:
+    @pytest.mark.parametrize("family", OPERATOR_FAMILIES)
+    def test_flat_form_gives_the_same_bytes(self, family):
+        rng = np.random.default_rng(OPERATOR_FAMILIES.index(family))
+        for _ in range(20):
+            op, x = operator_and_input(family, rng)
+            values = getattr(x, "values", x)
+            out = op(x)
+            flat_out = op(values)
+            assert type(out) is type(x) and type(flat_out) is np.ndarray
+            assert flat_out.shape == values.shape
+            assert flat_out.tobytes() == getattr(out, "values", out).tobytes()
+
+    @pytest.mark.parametrize("family", ["table", "gnn"])
+    def test_wrong_flat_shape_is_value_error(self, family):
+        op, x = operator_and_input(family, np.random.default_rng(3))
+        values = x.values
+        other = (GridFunction(grid_uniform(0, 1, values.size), values) if family == "gnn"
+                 else DirectSumVector([values]))
+        for bad in (values[:-1], np.append(values, 0.0), values[:, None], values[0],
+                    values.tolist(), other):
+            with pytest.raises(ValueError, match="flat values"):
+                op(bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("family, message", [
+        ("affine", "operator produced non-finite output"),
+        ("attention", "operator produced non-finite output"),
+        ("table", "grid function values must be finite (no NaN/Inf)"),
+        ("gnn", "block values must be finite (no NaN/Inf)"),
+    ])
+    def test_non_finite_flat_output_names_the_family(self, family, message):
+        grid = grid_uniform(0, 1, 3)
+        op, values = {
+            "affine": lambda: (AffineOperator([[1e300]]), np.array([1e10])),
+            "attention": lambda: (AttentionOperator([[1e300]], [[1.0]], [[1.0]]),
+                                  np.array([[1e10]])),
+            "table": lambda: (HammersteinOperator(grid, make_kernel("table",
+                                                                   table=np.full((3, 3), 1e300))),
+                              np.array([1e10, 1.0, 1.0])),
+            "gnn": lambda: (GnnAggregateOperator(Graph(2, [(0, 1)]), [[1e300]]),
+                            np.array([1e10, 2.0])),
+        }[family]()
+        with pytest.raises(NonFiniteError) as err:
+            op(values)
+        assert str(err.value) == message
+
+
 class TestApply:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_output_is_divergence(self):
@@ -349,6 +423,11 @@ class TestApply:
 
     def test_works_with_plain_callables(self):
         assert np.array_equal(apply(lambda x: 2 * x, np.array([1.0, 2.0])), [2.0, 4.0])
+
+    def test_plain_callable_output_is_not_checked(self):
+        # only the operators of picardop.operators check their own output
+        out = apply(lambda x: x + np.array([np.inf, np.nan]), np.array([1.0, 0.0]))
+        assert np.isinf(out[0]) and np.isnan(out[1])
 
 
 class TestOperatorConfig:

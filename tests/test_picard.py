@@ -5,6 +5,7 @@ import pytest
 
 from picardop import (
     AffineOperator,
+    AttentionOperator,
     DirectSumVector,
     GnnAggregateOperator,
     Graph,
@@ -164,6 +165,11 @@ def random_problem(family, rng):
     if family == "affine":
         d = int(rng.integers(1, 20))
         return contraction(rng, d, rng.uniform(0.3, 0.95)), rng.standard_normal(d)
+    if family == "attention":
+        # small weights and free term keep the cubic map contractive near f
+        m, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        W = rng.uniform(-0.5, 0.5, (3, d, d)) / d
+        return AttentionOperator(*W), rng.uniform(-0.5, 0.5, (m, d))
     if family == "gnn":
         n, d = int(rng.integers(2, 30)), int(rng.integers(1, 7))
         edges = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
@@ -183,7 +189,7 @@ def random_problem(family, rng):
     return HammersteinOperator(grid, kernel), GridFunction(grid, rng.standard_normal(n))
 
 
-FAMILIES = ("affine", "separable-linear", "bounded-nonlinear", "table", "gnn")
+FAMILIES = ("affine", "separable-linear", "bounded-nonlinear", "table", "gnn", "attention")
 
 
 class TestFlatArrayLoop:
@@ -219,6 +225,7 @@ class TestFlatArrayLoop:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("family, message", [
         ("affine", "operator produced non-finite output (iteration 0)"),
+        ("attention", "operator produced non-finite output (iteration 0)"),
         ("gnn", "block values must be finite (no NaN/Inf) (iteration 0)"),
         ("table", "grid function values must be finite (no NaN/Inf) (iteration 0)"),
     ])
@@ -227,6 +234,8 @@ class TestFlatArrayLoop:
         grid = grid_uniform(0, 1, 3)
         op, f = {
             "affine": lambda: (AffineOperator([[1e300]]), np.array([1e10])),
+            "attention": lambda: (AttentionOperator([[1e300]], [[1.0]], [[1.0]]),
+                                  np.array([[1e10]])),
             "gnn": lambda: (GnnAggregateOperator(Graph(2, [(0, 1)]), [[1e300]]),
                             DirectSumVector.from_matrix([[1e10], [2.0]])),
             "table": lambda: (HammersteinOperator(grid, make_kernel("table",
@@ -238,6 +247,18 @@ class TestFlatArrayLoop:
             picard_solve(op, cfg, f)
         assert str(err.value) == message
         assert err.value.trace.iterations_used == 0
+
+    def test_non_finite_plain_callable_is_caught_by_the_guard(self):
+        # apply checks only picardop's operators; the loop's norm guard checks the rest
+        cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
+        with pytest.raises(DivergenceError) as err:
+            picard_solve(lambda x: x + np.array([0.0, np.nan]), cfg, np.ones(2))
+        assert str(err.value) == "iterate became non-finite at iteration 0"
+
+    def test_plain_callable_output_shape_is_checked(self):
+        cfg = PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50)
+        with pytest.raises(ValueError, match=r"shape mismatch: \(1,\) vs \(3,\)"):
+            picard_solve(lambda x: x[:1], cfg, np.ones(3))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("norm_kind", ["discrete-L2", "direct-sum"])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from picardop import (
     zero_like,
 )
 from picardop.errors import NonFiniteError
-from picardop.spaces import flat_norm
+from picardop.spaces import flat_norm, require_finite
 
 
 class TestGridUniform:
@@ -290,6 +291,34 @@ class TestFlatNorm:
         per_block = sum(np.linalg.norm(b) for b in blocks)
         assert flat_norm(values, "direct-sum", dims) == per_block
         assert norm(DirectSumVector(blocks), "direct-sum") == per_block
+
+
+@st.composite
+def seeded_non_finite(draw):
+    """Finite entries up to 1e300 in magnitude, with NaN/+-Inf put at random positions."""
+    shape = draw(st.one_of(st.tuples(st.integers(0, 300)),
+                           st.tuples(st.integers(1, 20), st.integers(1, 20))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    if arr.size:
+        spots = rng.integers(0, arr.size, draw(st.integers(0, 3)))
+        arr.flat[spots] = rng.choice([np.nan, np.inf, -np.inf], spots.size)
+    return arr
+
+
+class TestRequireFinite:
+    @settings(max_examples=300, deadline=None)
+    @given(seeded_non_finite())
+    def test_raises_exactly_when_an_entry_is_non_finite(self, arr):
+        # entries above 1e154 overflow the dot-product screen, which must then
+        # fall through to the entry scan, without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.isfinite(arr).all():
+                require_finite(arr, "values must be finite")
+            else:
+                with pytest.raises(NonFiniteError, match="^values must be finite$"):
+                    require_finite(arr, "values must be finite")
 
 
 class TestLincomb:
