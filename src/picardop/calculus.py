@@ -20,8 +20,7 @@ from .operators import (
     apply,
     neighborhood_membership_counts,
 )
-from .spaces import (DirectSumVector, GridFunction, flatten_values, lincomb, norm,
-                     unflatten_like)
+from .spaces import flatten_values, lincomb, norm, unflatten_like
 
 FD_JACOBIAN_DIM_LIMIT = 64
 FD_DEFAULT_STEP = 1e-5
@@ -161,15 +160,16 @@ def _jacobian(op, u, step: float) -> np.ndarray:
     """Jacobian at u, one column per unit direction.
 
     Attention columns are analytic derivatives; any other operator gets
-    central differences with the given step, applied to u's flat values (in
-    the shape of a plain-array u).
+    central differences with the given step. The first column's points are
+    passed in u's own type, so the operator checks that u lies in its domain;
+    the others as u's flat values (in the shape of a plain-array u).
     """
     flat = flatten_values(u)
     dim = flat.size
     if dim > FD_JACOBIAN_DIM_LIMIT:
         raise ValueError(f"Jacobian refused above {FD_JACOBIAN_DIM_LIMIT} dimensions "
                          f"(got {dim})")
-    shape = flat.shape if isinstance(u, (GridFunction, DirectSumVector)) else np.shape(u)
+    shape = np.shape(getattr(u, "values", u))
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
@@ -177,9 +177,13 @@ def _jacobian(op, u, step: float) -> np.ndarray:
         if isinstance(op, AttentionOperator):
             col = attention_frechet(op, u, unflatten_like(u, e)).ravel()
         else:
-            plus = apply(op, (flat + step * e).reshape(shape))
-            minus = apply(op, (flat - step * e).reshape(shape))
-            col = (flatten_values(plus) - flatten_values(minus)) / (2 * step)
+            plus, minus = flat + step * e, flat - step * e
+            if j == 0:
+                plus, minus = unflatten_like(u, plus), unflatten_like(u, minus)
+            else:
+                plus, minus = plus.reshape(shape), minus.reshape(shape)
+            plus, minus = flatten_values(apply(op, plus)), flatten_values(apply(op, minus))
+            col = (plus - minus) / (2 * step)
         cols.append(col)
     return np.column_stack(cols)
 

@@ -10,6 +10,8 @@ Three rules hold for every operator here:
   aggregation the ``(n*d,)`` values of its blocks. Given a ``GridFunction`` or
   ``DirectSumVector`` it returns one; both forms share one map, so their
   values are the same bytes. Affine and attention maps act on plain arrays.
+  A flat array is checked only for its shape; the grid or the block dims of
+  an input are checked on the object form, which the solvers pass first.
 - It checks its own output and raises ``NonFiniteError`` on a NaN or Inf entry.
 - ``apply`` only turns that error into a ``DivergenceError``.
 """
@@ -27,6 +29,7 @@ from .spaces import (
     DirectSumVector,
     Grid,
     GridFunction,
+    all_finite,
     grid_from_json,
     load_matrix_text,
     require_finite,
@@ -70,7 +73,8 @@ class AffineOperator:
         if x.shape != (self.dim,):
             raise ValueError(f"expected a length-{self.dim} vector, got shape {x.shape}")
         out = self.A @ x + self.b
-        require_finite(out, NON_FINITE_OUTPUT)
+        if not all_finite(out):
+            raise NonFiniteError(NON_FINITE_OUTPUT)
         return out
 
 
@@ -99,7 +103,8 @@ class AttentionOperator:
         K = Y @ self.Wk
         V = Y @ self.Wv
         out = (Q @ K.T) @ V
-        require_finite(out, NON_FINITE_OUTPUT)
+        if not all_finite(out):
+            raise NonFiniteError(NON_FINITE_OUTPUT)
         return out
 
 
@@ -215,7 +220,7 @@ class HammersteinOperator:
         else:
             U, Vw = self._factors
             out = U @ (phi @ Vw)
-        require_finite(out, "grid function values must be finite (no NaN/Inf)")
+        require_finite(out, "grid function values")
         return out
 
 
@@ -318,7 +323,7 @@ class GnnAggregateOperator:
         transformed = np.zeros((self.graph.n + 1, self.d))
         np.maximum(values.reshape(self.graph.n, self.d) @ self.W.T, 0.0, out=transformed[:-1])
         out = np.maximum.reduceat(transformed[self._members], self._starts).ravel()
-        require_finite(out, "block values must be finite (no NaN/Inf)")
+        require_finite(out, "block values")
         return out
 
 
@@ -328,8 +333,13 @@ def apply(op, x):
     The operators of this module check their own output; their
     NonFiniteError is reported here as a DivergenceError, so the solver can
     fail loudly when a map blows up. The output of any other callable is not
-    checked here: the Picard loop's norm guard ("iterate became non-finite at
-    iteration k") and ``lincomb``'s check catch a non-finite one.
+    checked here; a non-finite one is caught later: in the Picard loop by its
+    norm guard (DivergenceError "iterate became non-finite at iteration k");
+    where it meets ``lincomb`` (``picard.residual``, ``calculus.fd_directional``
+    and ``calculus.lipschitz_sample``) by that check (NonFiniteError "linear
+    combination must be finite (no NaN/Inf)"); and in
+    ``calculus.derivative_bound_lipschitz`` by ``spectral_norm`` on the
+    Jacobian (ValueError "A must have finite entries").
     """
     try:
         return op(x)

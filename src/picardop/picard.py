@@ -129,9 +129,11 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         raise ValueError("max_iter must be at least 1")
     record_epsilon, record_max = record_stop or (epsilon, max_iter)
     recording = record_iterates
-    # The space is fixed once: the steps, the operator included, run on flat
-    # float arrays, and only the recorded iterates and the solution are
-    # wrapped in x0's grid or block structure.
+    # The space is fixed once: the steps run on flat float arrays, and only
+    # the recorded iterates and the solution are wrapped in x0's grid or block
+    # structure. The first step applies the operator to x0 itself, so that it
+    # checks x0 lies in its domain and its output in f's space; the later
+    # steps apply it to the flat values.
     fv, yv = space_values(f, x0)
     block_dims = getattr(x0, "block_dims", None)
     steps = []
@@ -140,12 +142,16 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     converged = False
     for k in range(max_iter):
         try:
-            tv = np.asarray(apply(op, yv), dtype=float)
+            ty = apply(op, yv if k else x0)
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} (iteration {k})",
                                   _trace(steps, False, iterates)) from exc
-        if tv.shape != yv.shape:
-            raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
+        if k == 0:
+            tv, _ = space_values(ty, f)
+        else:
+            tv = np.asarray(ty, dtype=float)
+            if tv.shape != yv.shape:
+                raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
         target = lam * tv + fv
         diff = target - yv
         resid = flat_norm(diff, norm_kind, block_dims)

@@ -18,8 +18,8 @@ from .errors import ConfigError, NonFiniteError, config_value, integer
 NORM_KINDS = ("discrete-L2", "sup", "direct-sum")
 
 
-def require_finite(arr: np.ndarray, message: str) -> None:
-    """Raise NonFiniteError(message) if any entry of the float array is NaN or Inf.
+def all_finite(arr: np.ndarray) -> bool:
+    """True if no entry of the float array is NaN or Inf.
 
     A NaN or Inf entry always makes the sum of squares non-finite, so one dot
     product screens the array; the entries are scanned only when that sum is
@@ -27,8 +27,13 @@ def require_finite(arr: np.ndarray, message: str) -> None:
     ``np.vdot`` is used because, unlike ``dot``, it gives no overflow warning
     for such finite entries.
     """
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
-        raise NonFiniteError(message)
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NonFiniteError("<what> must be finite (no NaN/Inf)") unless all_finite(arr)."""
+    if not all_finite(arr):
+        raise NonFiniteError(f"{what} must be finite (no NaN/Inf)")
 
 
 class Grid:
@@ -45,8 +50,8 @@ class Grid:
             raise ValueError("points and weights must be 1-D arrays of equal length")
         if points.size < 2:
             raise ValueError("grid needs at least 2 points")
-        require_finite(points, "grid points must be finite (no NaN/Inf)")
-        require_finite(weights, "grid weights must be finite (no NaN/Inf)")
+        require_finite(points, "grid points")
+        require_finite(weights, "grid weights")
         if not np.all(np.diff(points) > 0):
             raise ValueError("grid points must be strictly increasing")
         if not np.all(weights > 0):
@@ -130,7 +135,7 @@ class GridFunction:
         values = np.array(values, dtype=float)
         if values.ndim != 1 or values.size != grid.n:
             raise ValueError(f"expected {grid.n} values on the grid, got shape {values.shape}")
-        require_finite(values, "grid function values must be finite (no NaN/Inf)")
+        require_finite(values, "grid function values")
         values.setflags(write=False)
         self.grid = grid
         self.values = values
@@ -168,7 +173,7 @@ class DirectSumVector:
         if values.shape != (sum(dims),):
             raise ValueError(f"expected {sum(dims)} flat values for block dims {dims}, "
                              f"got shape {values.shape}")
-        require_finite(values, "block values must be finite (no NaN/Inf)")
+        require_finite(values, "block values")
         values.setflags(write=False)
         self.values = values
         self.block_dims = dims
@@ -281,7 +286,7 @@ def lincomb(a: float, x, b: float, y):
     out = a * xv + b * yv
     if isinstance(x, _STRUCTURED):
         return x.with_values(out)
-    require_finite(out, "linear combination must be finite (no NaN/Inf)")
+    require_finite(out, "linear combination")
     return out
 
 

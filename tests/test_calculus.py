@@ -216,6 +216,29 @@ class TestDerivativeBound:
                                          radius=1.0, n_samples=3, seed=7)
         assert est.value == pytest.approx(spectral_norm(B), rel=1e-6)
 
+    @pytest.mark.parametrize("case, message", [
+        ("other-grid-same-n", "input must be a GridFunction on the operator's grid"),
+        ("mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
+    ])
+    def test_center_outside_the_domain_is_refused(self, case, message):
+        # the first Jacobian column passes the center's own type, which the operator checks
+        op, center = {
+            "other-grid-same-n": lambda: (
+                HammersteinOperator(grid_uniform(0, 1, 11), make_kernel("bounded-nonlinear")),
+                GridFunction(grid_uniform(0, 2, 11), np.zeros(11))),
+            "mixed-block-dims": lambda: (
+                GnnAggregateOperator(Graph(2, [(0, 1)]), 0.5 * np.eye(2)),
+                DirectSumVector([[1.0], [1.0, 2.0, 3.0]])),
+        }[case]()
+        with pytest.raises(ValueError, match=message):
+            derivative_bound_lipschitz(op, center, radius=1.0, n_samples=2)
+
+    def test_non_finite_plain_callable_output(self):
+        # apply does not check a plain callable's output; spectral_norm refuses the Jacobian
+        with pytest.raises(ValueError, match="^A must have finite entries$"):
+            derivative_bound_lipschitz(lambda x: x + np.array([0.0, np.nan]), np.zeros(2),
+                                       radius=1.0, n_samples=1)
+
     def test_mean_value_bound_on_attention(self):
         rng = np.random.default_rng(71)
         op = random_attention(rng, 2)

@@ -26,7 +26,7 @@ from picardop import (
     trace_csv_text,
     uniqueness_check,
 )
-from picardop.errors import ConfigError, DivergenceError
+from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 from picardop.picard import TRACE_CSV_HEADER
 from picardop.spaces import NORM_KINDS
 
@@ -255,10 +255,56 @@ class TestFlatArrayLoop:
             picard_solve(lambda x: x + np.array([0.0, np.nan]), cfg, np.ones(2))
         assert str(err.value) == "iterate became non-finite at iteration 0"
 
-    def test_plain_callable_output_shape_is_checked(self):
+    @pytest.mark.parametrize("wrong_from_call", [1, 2])
+    def test_plain_callable_output_shape_is_checked(self, wrong_from_call):
+        # a (1,) output would broadcast against the (3,) iterate if it went unchecked
+        calls = []
+
+        def op(x):
+            calls.append(x)
+            return 0.5 * x[:1] if len(calls) >= wrong_from_call else 0.5 * x
+
         cfg = PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50)
         with pytest.raises(ValueError, match=r"shape mismatch: \(1,\) vs \(3,\)"):
-            picard_solve(lambda x: x[:1], cfg, np.ones(3))
+            picard_solve(op, cfg, np.ones(3))
+        assert len(calls) == wrong_from_call
+
+    @pytest.mark.parametrize("solver", ["picard", "damped"])
+    @pytest.mark.parametrize("case, message", [
+        ("other-grid-same-n", "input must be a GridFunction on the operator's grid"),
+        ("mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
+        ("grid-function-to-gnn", "expected an array of 4 flat values, got GridFunction"),
+    ])
+    def test_start_outside_the_domain_is_refused(self, solver, case, message):
+        # a flat array carries no grid or block dims, so the first step applies
+        # the operator to x0 itself, which checks them
+        gnn = GnnAggregateOperator(Graph(2, [(0, 1)]), 0.5 * np.eye(2))
+        op, x0 = {
+            "other-grid-same-n": lambda: (
+                HammersteinOperator(grid_uniform(0, 1, 11), make_kernel("separable-linear")),
+                GridFunction(grid_uniform(0, 2, 11), np.ones(11))),
+            "mixed-block-dims": lambda: (gnn, DirectSumVector([[1.0], [1.0, 2.0, 3.0]])),
+            "grid-function-to-gnn": lambda: (gnn, GridFunction(grid_uniform(0, 1, 4),
+                                                               np.ones(4))),
+        }[case]()
+        with pytest.raises(ValueError, match=message):
+            if solver == "picard":
+                picard_solve(op, PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50), x0)
+            else:
+                damped_solve(op, 0.5, x0, 1e-12, 50)
+
+    def test_plain_callable_gets_x0_then_flat_values(self):
+        grid = grid_uniform(0, 1, 5)
+        seen = []
+
+        def op(y):
+            seen.append(type(y))
+            return y.with_values(0.5 * y.values) if isinstance(y, GridFunction) else 0.5 * y
+
+        cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
+        sol, trace = picard_solve(op, cfg, GridFunction(grid, np.ones(5)))
+        assert trace.converged and isinstance(sol, GridFunction)
+        assert seen[0] is GridFunction and set(seen[1:]) == {np.ndarray}
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("norm_kind", ["discrete-L2", "direct-sum"])
@@ -288,6 +334,12 @@ class TestResidual:
     def test_identity_everything_fixed(self):
         op = AffineOperator(np.eye(1))
         assert residual(op, 1.0, np.zeros(1), np.array([1.0])) == 0.0
+
+    def test_non_finite_plain_callable_output(self):
+        # apply does not check a plain callable's output; lincomb does
+        with pytest.raises(NonFiniteError) as err:
+            residual(lambda x: x + np.array([0.0, np.nan]), 1.0, np.ones(2), np.ones(2))
+        assert str(err.value) == "linear combination must be finite (no NaN/Inf)"
 
 
 class TestPredictedIterations:
