@@ -194,6 +194,9 @@ def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = Fals
     ``record_iterates`` keeps the iterates in the trace; with ``record_run``, a
     shorter run's config, only that run's (through its first step <= its epsilon).
 
+    The first step applies ``op`` to the start itself, which checks that it
+    lies in the operator's domain; later steps apply it to the flat values.
+
     Returns (solution, trace); raises DivergenceError (carrying the partial
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.
     """
