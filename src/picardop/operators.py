@@ -183,6 +183,7 @@ class HammersteinOperator:
     def __init__(self, grid: Grid, kernel):
         self.grid = grid
         self.kernel = kernel
+        self._flat_shape = (grid.n,)
         if isinstance(kernel, SeparableLinearKernel):
             U, V = kernel.factors(grid.points, grid.points)
             Vw = V * grid.weights[:, None]
@@ -207,6 +208,8 @@ class HammersteinOperator:
 
     def __call__(self, y):
         """T(y) for a GridFunction on the grid, or for its ``(n,)`` values as a plain array."""
+        if isinstance(y, np.ndarray) and y.shape == self._flat_shape:
+            return self._map(y)
         if isinstance(y, GridFunction):
             if not y.grid.matches(self.grid):
                 raise ValueError("input must be a GridFunction on the operator's grid")
@@ -214,12 +217,18 @@ class HammersteinOperator:
         return self._map(_flat_input(y, self.grid.n))
 
     def _map(self, values: np.ndarray) -> np.ndarray:
+        """The output values for the ``(n,)`` input values, checked to be finite.
+
+        ``ndarray.dot`` makes the same BLAS gemv calls as ``@`` without the
+        ufunc dispatch, so the bytes are those of ``U @ (phi @ Vw)`` and
+        ``K @ (w * phi)``.
+        """
         phi = self.kernel.nonlinearity(values)
         if self._factors is None:
-            out = self._K @ (self.grid.weights * phi)
+            out = self._K.dot(self.grid.weights * phi)
         else:
             U, Vw = self._factors
-            out = U @ (phi @ Vw)
+            out = U.dot(phi.dot(Vw))
         require_finite(out, "grid function values")
         return out
 
@@ -303,12 +312,17 @@ class GnnAggregateOperator:
         self.graph = graph
         self.W = _finite_matrix(W, "W", square=True)
         self.d = self.W.shape[0]
-        # node v's segment of _members is N(v) then n, the index of a zero row
-        self._members = np.insert(graph.indices, graph.indptr[1:], graph.n)
-        self._starts = graph.indptr[:-1] + np.arange(graph.n)
+        self._flat_shape = (graph.n * self.d,)
+        # edge (v, i) of the CSR index sends row i of relu(F W^T) to entries
+        # v*d .. v*d + d - 1 of the output
+        rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
+        self._targets = (rows[:, None] * self.d + np.arange(self.d)).ravel()
+        self._targets.setflags(write=False)
 
     def __call__(self, F):
         """T(F) for a DirectSumVector of n blocks of dim d, or for its ``(n*d,)`` values."""
+        if isinstance(F, np.ndarray) and F.shape == self._flat_shape:
+            return self._map(F)
         if isinstance(F, DirectSumVector):
             if F.n_blocks != self.graph.n:
                 raise ValueError(f"expected {self.graph.n} blocks, got {F.n_blocks}")
@@ -318,11 +332,16 @@ class GnnAggregateOperator:
         return self._map(_flat_input(F, self.graph.n * self.d))
 
     def _map(self, values: np.ndarray) -> np.ndarray:
-        # relu output is >= 0, so the zero row leaves every maximum as it is
-        # and gives an empty neighborhood the zero block
-        transformed = np.zeros((self.graph.n + 1, self.d))
-        np.maximum(values.reshape(self.graph.n, self.d) @ self.W.T, 0.0, out=transformed[:-1])
-        out = np.maximum.reduceat(transformed[self._members], self._starts).ravel()
+        """The output values for the ``(n*d,)`` input values, checked to be finite.
+
+        One scatter-max over the CSR edges: each node's block is the max of its
+        neighbours' relu rows. relu output is >= 0, so the zero start leaves
+        every maximum as it is and gives an empty neighborhood the zero block.
+        """
+        transformed = values.reshape(self.graph.n, self.d).dot(self.W.T)
+        np.maximum(transformed, 0.0, out=transformed)
+        out = np.zeros(self._flat_shape)
+        np.maximum.at(out, self._targets, transformed[self.graph.indices].ravel())
         require_finite(out, "block values")
         return out
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DivergenceError, config_value, integer
 from .operators import apply
-from .spaces import (NORM_KINDS, flat_norm, lincomb, norm, space_values, unflatten_like,
-                     zero_like)
+from .spaces import (NORM_KINDS, flat_norm_function, lincomb, norm, space_values,
+                     unflatten_like, zero_like)
 
 DIVERGENCE_STEP_RATIO = 1e12
 
@@ -135,7 +135,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     # checks x0 lies in its domain and its output in f's space; the later
     # steps apply it to the flat values.
     fv, yv = space_values(f, x0)
-    block_dims = getattr(x0, "block_dims", None)
+    flat_norm = flat_norm_function(norm_kind, getattr(x0, "block_dims", None))
     steps = []
     iterates = [x0] if record_iterates else None
     first_step = None
@@ -152,14 +152,18 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
             tv = np.asarray(ty, dtype=float)
             if tv.shape != yv.shape:
                 raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
-        target = lam * tv + fv
+        # in-place forms of lam * tv + fv and alpha * yv + (1 - alpha) * target:
+        # the same operations in the same order, with fewer temporaries
+        target = np.multiply(tv, lam)
+        target += fv
         diff = target - yv
-        resid = flat_norm(diff, norm_kind, block_dims)
+        resid = flat_norm(diff)
         if alpha == 0.0:
             y_next, step = target, resid
         else:
-            y_next = alpha * yv + (1.0 - alpha) * target
-            step = flat_norm(y_next - yv, norm_kind, block_dims)
+            y_next = np.multiply(yv, alpha)
+            y_next += (1.0 - alpha) * target
+            step = flat_norm(y_next - yv)
         # a NaN or Inf entry always makes a norm non-finite, while finite
         # entries can overflow one, so the entries are checked only then
         if not (math.isfinite(resid) and math.isfinite(step)) and not all(
@@ -226,11 +230,14 @@ def residual(op, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:
 
 
 def predicted_iterations(k: float, lam: float, norm_Tf: float, epsilon: float) -> int:
-    """Smallest nu with (|lambda| k)^nu * norm_Tf < epsilon.
+    """Smallest nu with (|lambda| k)^nu * |lambda| * norm_Tf < epsilon.
 
-    Requires |lambda|*k < 1. With norm_Tf = ||T(y_0)|| this is the iteration
-    count guaranteeing a residual below epsilon; passing a global bound M on
-    ||T|| instead yields a nu that is uniform over the free term f.
+    Requires |lambda|*k < 1, and covers the plain iteration (alpha = 0) from
+    y_0 = f. After nu updates the residual is ||y_{nu+1} - y_nu||, at most
+    (|lambda| k)^nu * ||y_1 - y_0||, and y_1 - y_0 = lambda * T(y_0). So with
+    norm_Tf = ||T(y_0)|| this is an iteration count guaranteeing a residual
+    below epsilon; passing a global bound M on ||T|| instead yields a nu that
+    is uniform over the free term f.
     """
     if k < 0 or norm_Tf < 0:
         raise ValueError("k and norm_Tf must be nonnegative")
@@ -239,14 +246,15 @@ def predicted_iterations(k: float, lam: float, norm_Tf: float, epsilon: float) -
     r = abs(lam) * k
     if r >= 1:
         raise ValueError(f"|lambda|*k = {r:g} must be < 1")
-    if norm_Tf == 0 or norm_Tf < epsilon:
+    first_step = abs(lam) * norm_Tf
+    if first_step < epsilon:
         return 0
     if r == 0:
         return 1
-    nu = max(0, math.ceil(math.log(epsilon / norm_Tf) / math.log(r)))
-    while r ** nu * norm_Tf >= epsilon:
+    nu = max(0, math.ceil(math.log(epsilon / first_step) / math.log(r)))
+    while r ** nu * first_step >= epsilon:
         nu += 1
-    while nu > 0 and r ** (nu - 1) * norm_Tf < epsilon:
+    while nu > 0 and r ** (nu - 1) * first_step < epsilon:
         nu -= 1
     return nu
 

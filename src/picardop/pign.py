@@ -129,6 +129,12 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     both tiny and large embedding scales train on equal footing. Returns
     (weights, test_accuracy); the weight vector acts on standardized features
     with an intercept as its last component.
+
+    With 0/1 labels the clipped log-loss is non-finite exactly when a
+    probability is NaN, as ``p = (1 + tanh(z/2)) / 2`` otherwise lies in
+    [0, 1]. So each epoch tests ``p`` for NaN, and the loss is computed only
+    for the ValueError ("non-finite logistic loss at epoch <k>: ...") that
+    such an epoch raises.
     """
     if isinstance(embeddings, DirectSumVector):
         X = embeddings.stacked()
@@ -154,9 +160,9 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     m = Ztr.shape[0]
     for epoch in range(epochs):
         p = _sigmoid(Ztr @ w)
-        pc = np.clip(p, 1e-12, 1 - 1e-12)
-        loss = -float(np.mean(ytr * np.log(pc) + (1 - ytr) * np.log(1 - pc)))
-        if not np.isfinite(loss):
+        if np.isnan(p).any():
+            pc = np.clip(p, 1e-12, 1 - 1e-12)
+            loss = -float(np.mean(ytr * np.log(pc) + (1 - ytr) * np.log(1 - pc)))
             raise ValueError(f"non-finite logistic loss at epoch {epoch}: "
                              f"loss={loss}, |w|={np.linalg.norm(w):g}, lr={lr}")
         w -= lr * (Ztr.T @ (p - ytr)) / m

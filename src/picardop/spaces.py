@@ -223,6 +223,40 @@ class DirectSumVector:
 _STRUCTURED = (GridFunction, DirectSumVector)
 
 
+def _l2_norm(values: np.ndarray) -> float:
+    flat = values.ravel()
+    return math.sqrt(flat.dot(flat))  # np.linalg.norm's own expression
+
+
+def _sup_norm(values: np.ndarray) -> float:
+    return float(np.abs(values).max()) if values.size else 0.0
+
+
+def flat_norm_function(kind: str, block_dims: Sequence[int] | None = None):
+    """The function ``values -> flat_norm(values, kind, block_dims)``, resolved once.
+
+    A solver that takes many norms in one space picks the expression for its
+    kind and block structure here, before its loop, instead of on every call.
+    """
+    if kind == "sup":
+        return _sup_norm
+    if kind != "direct-sum" or block_dims is None:
+        return _l2_norm
+    dims = tuple(block_dims)
+    if dims.count(dims[0]) == len(dims):
+        shape = (len(dims), dims[0])
+
+        def uniform_blocks_norm(values: np.ndarray) -> float:
+            S = values.reshape(shape)
+            return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
+        return uniform_blocks_norm
+    spans = [(end - d, end) for d, end in zip(dims, itertools.accumulate(dims))]
+
+    def mixed_blocks_norm(values: np.ndarray) -> float:
+        return float(sum(np.linalg.norm(values[start:end]) for start, end in spans))
+    return mixed_blocks_norm
+
+
 def flat_norm(values: np.ndarray, kind: str, block_dims: Sequence[int] | None = None) -> float:
     """The ``kind`` norm of a float array's entries.
 
@@ -231,17 +265,7 @@ def flat_norm(values: np.ndarray, kind: str, block_dims: Sequence[int] | None = 
     their L2 norms in one ``vecdot`` and sum them left to right, as the Python
     ``sum`` over per-block ``np.linalg.norm`` calls that mixed dims use does.
     """
-    if kind == "sup":
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    if kind == "direct-sum" and block_dims is not None:
-        if block_dims.count(block_dims[0]) == len(block_dims):
-            S = values.reshape(len(block_dims), block_dims[0])
-            return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
-        ends = itertools.accumulate(block_dims)
-        return float(sum(np.linalg.norm(values[end - d:end])
-                         for d, end in zip(block_dims, ends)))
-    flat = values.ravel()
-    return math.sqrt(flat.dot(flat))  # np.linalg.norm's own expression
+    return flat_norm_function(kind, block_dims)(values)
 
 
 def norm(x, kind: str = "discrete-L2") -> float:

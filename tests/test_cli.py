@@ -144,6 +144,22 @@ class TestSolveCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_artifacts_take_the_umask(self, tmp_path, umask, mode):
+        cfg = write_config(tmp_path, "c.json", affine_solve_config())
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            # an existing artifact is replaced by a file of the same mode
+            assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"manifest.json": mode, "summary.json": mode, "trace.csv": mode}
+
+
 class TestRatesCommand:
     def test_scalar_demo_bounds_dominate(self, tmp_path):
         out = tmp_path / "out"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picardop import (
     AffineOperator,
@@ -354,8 +356,40 @@ class TestPredictedIterations:
         assert predicted_iterations(0.5, 1.0, 1.0, 0.1) == 4
 
     def test_scaled_lambda_case(self):
-        # smallest n with 0.45^n * 2 < 1e-6
-        assert predicted_iterations(0.9, 0.5, 2.0, 1e-6) == 19
+        # smallest n with 0.45^n * 0.5 * 2 < 1e-6
+        assert predicted_iterations(0.9, 0.5, 2.0, 1e-6) == 18
+
+    def test_lambda_above_one_counts_the_first_step(self):
+        # ||y_1 - y_0|| = |lambda| ||T(f)|| = 0.5; 0.5^2 * 0.5 = 0.125 >= 0.1
+        op = AffineOperator(np.array([[0.25]]))
+        f = np.array([1.0])
+        nu = predicted_iterations(0.25, 2.0, float(np.abs(op(f))[0]), 0.1)
+        assert nu == 3
+        y = f
+        for _ in range(nu):
+            y = 2.0 * op(y) + f
+        assert residual(op, 2.0, f, y) == 0.0625
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           lam_abs=st.floats(0.05, 4.0), negative=st.booleans(),
+           rate=st.floats(0.01, 0.9, exclude_max=True), log_eps=st.floats(-9, -1))
+    def test_nu_updates_reach_epsilon_on_affine_contractions(self, d, seed, lam_abs,
+                                                             negative, rate, log_eps):
+        rng = np.random.default_rng(seed)
+        lam = -lam_abs if negative else lam_abs
+        op = contraction(rng, d, rate / lam_abs)
+        k = float(np.linalg.svd(op.A, compute_uv=False)[0])
+        f = rng.standard_normal(d)
+        eps = 10.0 ** log_eps
+        nu = predicted_iterations(k, lam, float(np.linalg.norm(op(f))), eps)
+        y = f
+        for _ in range(nu):
+            y = lam * op(y) + f
+        # the computed residual carries rounding of the order of its terms
+        rounding = 16 * np.finfo(float).eps * (
+            np.linalg.norm(lam * op(y)) + np.linalg.norm(f) + np.linalg.norm(y))
+        assert residual(op, lam, f, y) < eps + rounding
 
     def test_rejects_non_contraction(self):
         with pytest.raises(ValueError):
@@ -370,9 +404,9 @@ class TestPredictedIterations:
             eps = 10.0 ** rng.uniform(-10, -1)
             nu = predicted_iterations(k, lam, m, eps)
             r = abs(lam) * k
-            assert r ** nu * m < eps
+            assert r ** nu * (abs(lam) * m) < eps
             if nu > 0:
-                assert r ** (nu - 1) * m >= eps
+                assert r ** (nu - 1) * (abs(lam) * m) >= eps
 
 
 @pytest.mark.parametrize("section, field", [

@@ -243,6 +243,16 @@ class TestLogisticReadout:
         _, acc = train_logistic_readout(X, y, split_seed=3, lr=0.5, epochs=50)
         assert 0.0 <= acc <= 1.0
 
+    def test_non_finite_train_embedding_raises_at_first_epoch(self):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((20, 3))
+        y = np.repeat([0, 1], 10)
+        train = np.random.default_rng(4).permutation(20)[:16]
+        X[train[0], 1] = np.inf
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(ValueError, match=r"^non-finite logistic loss at epoch 0")):
+            train_logistic_readout(X, y, split_seed=4, lr=0.5, epochs=50)
+
 
 class TestExperiment:
     def test_report_csv_is_reproducible(self):
