@@ -190,6 +190,7 @@ class HammersteinOperator:
             U.setflags(write=False)
             Vw.setflags(write=False)
             self._factors = (U, Vw)
+            self._u_max = float(np.abs(U).max())
             # K is bilinear in (t, s), so its largest |K| on the grid is at a corner
             ends = grid.points[[0, -1]]
             checked = (kernel.weight_matrix(ends, ends), U, Vw)
@@ -221,15 +222,22 @@ class HammersteinOperator:
 
         ``ndarray.dot`` makes the same BLAS gemv calls as ``@`` without the
         ufunc dispatch, so the bytes are those of ``U @ (phi @ Vw)`` and
-        ``K @ (w * phi)``.
+        ``K @ (w * phi)``. A rank-2 output whose entries are bounded far below
+        overflow by its two coefficients is finite, and is not scanned.
         """
         phi = self.kernel.nonlinearity(values)
         if self._factors is None:
             out = self._K.dot(self.grid.weights * phi)
-        else:
-            U, Vw = self._factors
-            out = U.dot(phi.dot(Vw))
-        require_finite(out, "grid function values")
+            require_finite(out, "grid function values")
+            return out
+        U, Vw = self._factors
+        c = phi.dot(Vw)
+        out = U.dot(c)
+        # every |out_i| is at most max|U| * (|c_0| + |c_1|), up to rounding, so
+        # a bound far below overflow proves the output finite without a scan
+        c0, c1 = c.tolist()
+        if not self._u_max * (abs(c0) + abs(c1)) < 1e300:
+            require_finite(out, "grid function values")
         return out
 
 

@@ -224,6 +224,33 @@ class TestHammerstein:
         with pytest.raises(DivergenceError):
             apply(op, GridFunction(g, np.full(g.n, 1e10)))
 
+    @settings(deadline=None)
+    @given(name=st.sampled_from(["separable-linear", "bounded-nonlinear"]),
+           params=st.lists(st.floats(-1e308, 1e308), min_size=4, max_size=4),
+           n=st.integers(2, 50), log_scale=st.floats(-10, 300),
+           special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank2_output_refused_exactly_when_an_entry_is_non_finite(
+            self, name, params, n, log_scale, special, seed):
+        g = grid_uniform(0, 1, n)
+        try:
+            op = HammersteinOperator(g, make_kernel(name, params))
+        except ValueError:
+            return  # the kernel itself overflows on the grid
+        rng = np.random.default_rng(seed)
+        y = 10.0 ** log_scale * rng.standard_normal(n)
+        if special is not None:
+            y[rng.integers(n)] = special
+        U, Vw = op._factors
+        with np.errstate(all="ignore"):
+            expected = U @ (op.kernel.nonlinearity(y) @ Vw)
+            if np.isfinite(expected).all():
+                assert op(y).tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(NonFiniteError,
+                                   match="grid function values must be finite"):
+                    op(y)
+
 
 class TestGraph:
     def test_rejects_out_of_range(self):
