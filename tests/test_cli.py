@@ -143,7 +143,6 @@ class TestSolveCommand:
                      "--out", str(out), "--quiet"])
         assert code == 0
 
-
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask-022", "umask-077"])
     def test_artifacts_take_the_umask(self, tmp_path, umask, mode):
