@@ -13,6 +13,7 @@ from .spaces import (
     Grid,
     GridFunction,
     DirectSumVector,
+    Space,
     grid_uniform,
     grid_from_json,
     norm,
@@ -22,7 +23,6 @@ from .spaces import (
     flatten_values,
     unflatten_like,
     load_matrix_text,
-    load_vector_text,
 )
 from .operators import (
     AffineOperator,

@@ -40,15 +40,6 @@ class LipschitzEstimate:
     is_upper_bound: bool
     seed: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "samples": self.samples,
-            "seed": self.seed,
-            "is_upper_bound": self.is_upper_bound,
-        }
-
 
 @dataclass(frozen=True)
 class FrechetDirectionalResult:
@@ -85,12 +76,9 @@ def attention_frechet(op: AttentionOperator, Y, H) -> np.ndarray:
     The map is a product of three terms linear in Y, so the derivative is the
     sum of the three single-substitution terms; it is linear in H.
     """
-    Y = np.asarray(Y, dtype=float)
-    H = np.asarray(H, dtype=float)
+    Y, H = op.space.values(Y), op.space.values(H)
     if Y.shape != H.shape:
         raise ValueError(f"Y and H must share a shape, got {Y.shape} vs {H.shape}")
-    if Y.ndim != 2 or Y.shape[1] != op.d:
-        raise ValueError(f"expected m x {op.d} matrices, got shape {Y.shape}")
     Q, K, V = Y @ op.Wq, Y @ op.Wk, Y @ op.Wv
     Qh, Kh, Vh = H @ op.Wq, H @ op.Wk, H @ op.Wv
     return (Qh @ K.T) @ V + (Q @ Kh.T) @ V + (Q @ K.T) @ Vh
@@ -160,9 +148,9 @@ def _jacobian(op, u, step: float) -> np.ndarray:
     """Jacobian at u, one column per unit direction.
 
     Attention columns are analytic derivatives; any other operator gets
-    central differences with the given step. The first column's points are
-    passed in u's own type, so the operator checks that u lies in its domain;
-    the others as u's flat values (in the shape of a plain-array u).
+    central differences with the given step. derivative_bound_lipschitz has
+    checked u's structure against the operator's space, so every column's
+    points are u's flat values (in the shape of a plain-array u).
     """
     flat = flatten_values(u)
     dim = flat.size
@@ -177,11 +165,7 @@ def _jacobian(op, u, step: float) -> np.ndarray:
         if isinstance(op, AttentionOperator):
             col = attention_frechet(op, u, unflatten_like(u, e)).ravel()
         else:
-            plus, minus = flat + step * e, flat - step * e
-            if j == 0:
-                plus, minus = unflatten_like(u, plus), unflatten_like(u, minus)
-            else:
-                plus, minus = plus.reshape(shape), minus.reshape(shape)
+            plus, minus = (flat + step * e).reshape(shape), (flat - step * e).reshape(shape)
             plus, minus = flatten_values(apply(op, plus)), flatten_values(apply(op, minus))
             col = (plus - minus) / (2 * step)
         cols.append(col)
@@ -201,6 +185,8 @@ def derivative_bound_lipschitz(op, center, radius: float, n_samples: int,
         raise ValueError("ball radius must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if hasattr(op, "space"):
+        op.space.values(center)  # the sampled points keep the center's structure
     if isinstance(op, AffineOperator):
         return LipschitzEstimate(value=spectral_norm(op.A), method="derivative-bound",
                                  samples=1, is_upper_bound=True, seed=seed)

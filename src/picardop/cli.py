@@ -31,14 +31,13 @@ from .operators import (
     AffineOperator,
     AttentionOperator,
     GnnAggregateOperator,
-    HammersteinOperator,
     _matrix_entry,
     operator_from_config,
 )
 from .picard import (IterationTrace, PicardConfig, banach_bounds, picard_solve, residual,
                      trace_csv_text)
 from .pign import run_pign_experiment
-from .spaces import DirectSumVector, GridFunction, norm
+from .spaces import norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -89,18 +88,9 @@ def _resolve_free_term(entry, op, base_dir: str):
 
     The entry is an inline list, a text-file path, ``{"blocks": matrix}`` or
     ``{"constant": c}``; null means zero. It must be finite and have the
-    operator's shape (vectors may be given as a column or a row).
+    operator's ``space.shape`` (vectors may be given as a column or a row).
     """
-    if isinstance(op, AffineOperator):
-        shape, wrap = (op.dim,), np.asarray
-    elif isinstance(op, HammersteinOperator):
-        shape, wrap = (op.grid.n,), lambda values: GridFunction(op.grid, values)
-    elif isinstance(op, GnnAggregateOperator):
-        shape, wrap = (op.graph.n, op.d), DirectSumVector.from_matrix
-    elif isinstance(op, AttentionOperator):
-        shape, wrap = (None, op.d), np.asarray
-    else:
-        raise ConfigError("operator.type", "unsupported operator for this command")
+    shape = op.space.shape
     values = _read_free_term(entry, base_dir, shape)
     if len(shape) == 1:
         values = values.ravel()
@@ -108,7 +98,7 @@ def _resolve_free_term(entry, op, base_dir: str):
                                         for n, got in zip(shape, values.shape)):
         want = " x ".join("m" if n is None else str(n) for n in shape)
         raise ConfigError("f", f"expected shape {want}, got {values.shape}")
-    return wrap(values)
+    return op.space.wrap(values)
 
 
 def _operator(cfg: dict, base_dir: str, expected_type=None):

@@ -1,18 +1,18 @@
 """Concrete operators: affine maps, cubic attention, integral operators, graph aggregation.
 
-Every operator is an immutable callable ``T`` acting on one of the vector-like
-types from :mod:`picardop.spaces`. Solvers consume ``lambda*T(x) + f`` shifts.
+Every operator is an immutable callable ``T`` on its ``space``, a
+:class:`picardop.spaces.Space`. Solvers consume ``lambda*T(x) + f`` shifts.
 
 Three rules hold for every operator here:
 
-- It accepts its domain's flat values as a plain float array and returns a
-  plain array: a Hammerstein operator the grid's ``(n,)`` values, a graph
-  aggregation the ``(n*d,)`` values of its blocks. Given a ``GridFunction`` or
-  ``DirectSumVector`` it returns one; both forms share one map, so their
-  values are the same bytes. Affine and attention maps act on plain arrays.
-  A flat array is checked only for its shape; the grid or the block dims of
-  an input are checked on the object form, which the solvers pass first.
-- It checks its own output and raises ``NonFiniteError`` on a NaN or Inf entry.
+- Its space is ``(d,)`` for affine, ``(None, d)`` (m tokens) for attention,
+  the grid's ``(n,)`` values for Hammerstein, and n blocks of dim d for graph
+  aggregation. One shared ``__call__`` maps ``space.values(x)`` and wraps the
+  output by ``space.wrap`` only when ``x`` was a ``GridFunction`` or
+  ``DirectSumVector``; both forms give the same bytes. A flat array is checked
+  only for its shape, so the solvers check a start once, before their loops.
+- Its ``_map`` checks its own output and raises ``NonFiniteError`` on a NaN or
+  Inf entry.
 - ``apply`` only turns that error into a ``DivergenceError``.
 """
 
@@ -26,9 +26,8 @@ import numpy as np
 from .errors import (REQUIRED, ConfigError, DivergenceError, NonFiniteError, config_value,
                      integer)
 from .spaces import (
-    DirectSumVector,
     Grid,
-    GridFunction,
+    Space,
     all_finite,
     grid_from_json,
     load_matrix_text,
@@ -50,7 +49,18 @@ def _finite_matrix(M, name: str, square: bool = False) -> np.ndarray:
     return M
 
 
-class AffineOperator:
+class Operator:
+    """An immutable map on its ``space``; a subclass sets ``space`` and defines
+    ``_map(values)``, which maps flat values and checks its own output."""
+
+    def __call__(self, x):
+        """T(x): flat values map to a plain array, a structured value to its own form."""
+        values = self.space.values(x)
+        out = self._map(values)
+        return out if values is x else self.space.wrap(out)
+
+
+class AffineOperator(Operator):
     """x -> A x + b; its exact Lipschitz constant is the spectral norm of A."""
 
     def __init__(self, A, b=None):
@@ -63,22 +73,20 @@ class AffineOperator:
             raise ValueError("b must have finite entries")
         b.setflags(write=False)
         self.b = b
+        self.space = Space((d,))
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a length-{self.dim} vector, got shape {x.shape}")
+    def _map(self, x: np.ndarray) -> np.ndarray:
         out = self.A @ x + self.b
         if not all_finite(out):
             raise NonFiniteError(NON_FINITE_OUTPUT)
         return out
 
 
-class AttentionOperator:
+class AttentionOperator(Operator):
     """Softmax-free self-attention Y -> (Y Wq)(Y Wk)^T (Y Wv); cubic in Y.
 
     Y is an m x d matrix of m tokens; the weight matrices are d x d.
@@ -90,15 +98,13 @@ class AttentionOperator:
         self.Wv = _finite_matrix(Wv, "Wv", square=True)
         if not (self.Wq.shape == self.Wk.shape == self.Wv.shape):
             raise ValueError("Wq, Wk, Wv must share one square shape")
+        self.space = Space((None, self.d))
 
     @property
     def d(self) -> int:
         return self.Wq.shape[0]
 
-    def __call__(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.d:
-            raise ValueError(f"expected an m x {self.d} matrix, got shape {Y.shape}")
+    def _map(self, Y: np.ndarray) -> np.ndarray:
         Q = Y @ self.Wq
         K = Y @ self.Wk
         V = Y @ self.Wv
@@ -172,7 +178,7 @@ def make_kernel(name: str, params=None, table=None):
     return KERNELS[name]() if params is None else KERNELS[name](params)
 
 
-class HammersteinOperator:
+class HammersteinOperator(Operator):
     """Quadrature integral operator: output(t_i) = sum_j w_j * G(y(s_j), t_i, s_j).
 
     Separable kernels apply through their rank-2 factors, U @ (phi @ Vw) with
@@ -183,7 +189,7 @@ class HammersteinOperator:
     def __init__(self, grid: Grid, kernel):
         self.grid = grid
         self.kernel = kernel
-        self._flat_shape = (grid.n,)
+        self.space = Space((grid.n,), grid=grid)
         if isinstance(kernel, SeparableLinearKernel):
             U, V = kernel.factors(grid.points, grid.points)
             Vw = V * grid.weights[:, None]
@@ -206,16 +212,6 @@ class HammersteinOperator:
     def _K(self) -> np.ndarray:
         """The dense n x n kernel weight matrix K[i, j] = K(t_i, s_j)."""
         return self.kernel.weight_matrix(self.grid.points, self.grid.points)
-
-    def __call__(self, y):
-        """T(y) for a GridFunction on the grid, or for its ``(n,)`` values as a plain array."""
-        if isinstance(y, np.ndarray) and y.shape == self._flat_shape:
-            return self._map(y)
-        if isinstance(y, GridFunction):
-            if not y.grid.matches(self.grid):
-                raise ValueError("input must be a GridFunction on the operator's grid")
-            return GridFunction(self.grid, self._map(y.values))
-        return self._map(_flat_input(y, self.grid.n))
 
     def _map(self, values: np.ndarray) -> np.ndarray:
         """The output values for the ``(n,)`` input values, checked to be finite.
@@ -309,7 +305,7 @@ def neighborhood_membership_counts(graph: Graph) -> np.ndarray:
     return np.diff(graph.indptr)
 
 
-class GnnAggregateOperator:
+class GnnAggregateOperator(Operator):
     """Max-pooling message passing: block v -> componentwise max of relu(W f_i), i in N(v).
 
     Empty neighborhoods aggregate to the zero block. W is shared across nodes
@@ -320,24 +316,12 @@ class GnnAggregateOperator:
         self.graph = graph
         self.W = _finite_matrix(W, "W", square=True)
         self.d = self.W.shape[0]
-        self._flat_shape = (graph.n * self.d,)
+        self.space = Space((graph.n, self.d), blocks=True)
         # edge (v, i) of the CSR index sends row i of relu(F W^T) to entries
         # v*d .. v*d + d - 1 of the output
         rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
         self._targets = (rows[:, None] * self.d + np.arange(self.d)).ravel()
         self._targets.setflags(write=False)
-
-    def __call__(self, F):
-        """T(F) for a DirectSumVector of n blocks of dim d, or for its ``(n*d,)`` values."""
-        if isinstance(F, np.ndarray) and F.shape == self._flat_shape:
-            return self._map(F)
-        if isinstance(F, DirectSumVector):
-            if F.n_blocks != self.graph.n:
-                raise ValueError(f"expected {self.graph.n} blocks, got {F.n_blocks}")
-            if not F.is_uniform() or F.block_dims[0] != self.d:
-                raise ValueError(f"expected blocks of dim {self.d}, got {F.block_dims}")
-            return F.with_values(self._map(F.values))
-        return self._map(_flat_input(F, self.graph.n * self.d))
 
     def _map(self, values: np.ndarray) -> np.ndarray:
         """The output values for the ``(n*d,)`` input values, checked to be finite.
@@ -348,7 +332,7 @@ class GnnAggregateOperator:
         """
         transformed = values.reshape(self.graph.n, self.d).dot(self.W.T)
         np.maximum(transformed, 0.0, out=transformed)
-        out = np.zeros(self._flat_shape)
+        out = np.zeros(values.size)
         np.maximum.at(out, self._targets, transformed[self.graph.indices].ravel())
         require_finite(out, "block values")
         return out
@@ -372,13 +356,6 @@ def apply(op, x):
         return op(x)
     except NonFiniteError as exc:
         raise DivergenceError(str(exc)) from exc
-
-
-def _flat_input(values, size: int) -> np.ndarray:
-    if not isinstance(values, np.ndarray) or values.shape != (size,):
-        got = getattr(values, "shape", type(values).__name__)
-        raise ValueError(f"expected an array of {size} flat values, got {got}")
-    return values
 
 
 def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:

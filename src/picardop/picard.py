@@ -129,12 +129,13 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         raise ValueError("max_iter must be at least 1")
     record_epsilon, record_max = record_stop or (epsilon, max_iter)
     recording = record_iterates
-    # The space is fixed once: the steps run on flat float arrays, and only
-    # the recorded iterates and the solution are wrapped in x0's grid or block
-    # structure. The first step applies the operator to x0 itself, so that it
-    # checks x0 lies in its domain and its output in f's space; the later
-    # steps apply it to the flat values.
+    # The space is fixed once: x0 (and so f, which shares its space) is checked
+    # against the operator's space, and every step, the first included, runs
+    # on flat float arrays. Only the recorded iterates and the solution are
+    # wrapped in x0's grid or block structure.
     fv, yv = space_values(f, x0)
+    if hasattr(op, "space"):
+        op.space.values(x0)
     flat_norm = flat_norm_function(norm_kind, getattr(x0, "block_dims", None))
     steps = []
     iterates = [x0] if record_iterates else None
@@ -142,16 +143,12 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     converged = False
     for k in range(max_iter):
         try:
-            ty = apply(op, yv if k else x0)
+            tv = np.asarray(apply(op, yv), dtype=float)
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} (iteration {k})",
                                   _trace(steps, False, iterates)) from exc
-        if k == 0:
-            tv, _ = space_values(ty, f)
-        else:
-            tv = np.asarray(ty, dtype=float)
-            if tv.shape != yv.shape:
-                raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
+        if tv.shape != yv.shape:
+            raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
         # in-place forms of lam * tv + fv and alpha * yv + (1 - alpha) * target:
         # the same operations in the same order, with fewer temporaries
         target = np.multiply(tv, lam)
@@ -198,8 +195,8 @@ def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = Fals
     ``record_iterates`` keeps the iterates in the trace; with ``record_run``, a
     shorter run's config, only that run's (through its first step <= its epsilon).
 
-    The first step applies ``op`` to the start itself, which checks that it
-    lies in the operator's domain; later steps apply it to the flat values.
+    The start is checked once against ``op.space``; every step then applies
+    ``op`` (a plain callable too) to flat values and checks the output's shape.
 
     Returns (solution, trace); raises DivergenceError (carrying the partial
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.

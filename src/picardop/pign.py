@@ -128,7 +128,8 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     with train-split statistics (constant coordinates are left unscaled) so
     both tiny and large embedding scales train on equal footing. Returns
     (weights, test_accuracy); the weight vector acts on standardized features
-    with an intercept as its last component.
+    with an intercept as its last component. A label other than 0 or 1 is a
+    ValueError naming ``labels``.
 
     With 0/1 labels the clipped log-loss is non-finite exactly when a
     probability is NaN, as ``p = (1 + tanh(z/2)) / 2`` otherwise lies in
@@ -144,6 +145,9 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     n = X.shape[0]
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match {n} nodes")
+    outside = ~np.isin(y, (0, 1))
+    if outside.any():
+        raise ValueError(f"labels must be 0 or 1, got {y[outside][0]}")
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(n)
     n_train = int(round(0.8 * n))

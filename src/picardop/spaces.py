@@ -223,9 +223,56 @@ class DirectSumVector:
 _STRUCTURED = (GridFunction, DirectSumVector)
 
 
+class Space:
+    """An operator's domain: values of ``shape`` (``None``: a free row count).
+
+    A ``grid`` space holds GridFunctions on the grid, a ``blocks`` space of shape
+    ``(n, d)`` DirectSumVectors of n blocks of dim d, both mapped as flat arrays
+    of ``flat_shape``; any other space holds plain float arrays of ``shape``.
+    """
+
+    def __init__(self, shape: tuple, grid: Grid | None = None, blocks: bool = False):
+        self.shape = shape
+        self.grid = grid
+        self.blocks = blocks
+        self.flat_shape = (math.prod(shape),) if blocks else shape
+
+    def values(self, x) -> np.ndarray:
+        """The flat values of ``x`` (an array of ``flat_shape`` as it is); a
+        ValueError unless x lies in the space. Plain spaces convert by np.asarray."""
+        if isinstance(x, np.ndarray) and x.shape == self.flat_shape:
+            return x
+        if self.grid is None and not self.blocks and not isinstance(x, _STRUCTURED):
+            x = np.asarray(x, dtype=float)
+            free = self.shape[0] is None
+            if x.shape[free:] == self.shape[free:]:
+                return x
+        if isinstance(x, GridFunction) and self.grid is not None:
+            if not x.grid.matches(self.grid):
+                raise ValueError("input must be a GridFunction on the operator's grid")
+            return x.values
+        if isinstance(x, DirectSumVector) and self.blocks:
+            n, d = self.shape
+            if x.n_blocks != n:
+                raise ValueError(f"expected {n} blocks, got {x.n_blocks}")
+            if x.block_dims.count(d) != n:
+                raise ValueError(f"expected blocks of dim {d}, got {x.block_dims}")
+            return x.values
+        want = " x ".join("m" if n is None else str(n) for n in self.flat_shape)
+        got = getattr(x, "shape", type(x).__name__)
+        raise ValueError(f"expected an array of {want} flat values, got {got}")
+
+    def wrap(self, values: np.ndarray):
+        """Flat ``values`` in the space's structured form; a plain space returns them."""
+        if self.grid is not None:
+            return GridFunction(self.grid, values)
+        if self.blocks:
+            return DirectSumVector.from_matrix(np.reshape(values, self.shape))
+        return values
+
+
 def _l2_norm(values: np.ndarray) -> float:
-    flat = values.ravel()
-    return math.sqrt(flat.dot(flat))  # np.linalg.norm's own expression
+    return math.sqrt(np.vdot(values, values))  # np.linalg.norm's, without dot's overflow warning
 
 
 def _sup_norm(values: np.ndarray) -> float:
@@ -349,8 +396,3 @@ def load_matrix_text(path) -> np.ndarray:
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"ragged rows in {path}")
     return np.array(rows, dtype=float)
-
-
-def load_vector_text(path) -> np.ndarray:
-    """Read a numeric vector from text; accepts one value per line or one row."""
-    return load_matrix_text(path).ravel()

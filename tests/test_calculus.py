@@ -172,12 +172,6 @@ class TestLipschitzSample:
         with pytest.raises(ValueError):
             lipschitz_sample(op, lambda rng: np.zeros(2), 10, seed=4)
 
-    def test_json_record(self):
-        op = AffineOperator(np.eye(2))
-        est = lipschitz_sample(op, lambda rng: rng.standard_normal(2), 10, seed=5)
-        record = est.to_json_dict()
-        assert set(record) == {"method", "value", "samples", "seed", "is_upper_bound"}
-
 
 class TestDerivativeBound:
     def test_affine_is_exact(self):
@@ -219,9 +213,11 @@ class TestDerivativeBound:
     @pytest.mark.parametrize("case, message", [
         ("other-grid-same-n", "input must be a GridFunction on the operator's grid"),
         ("mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
+        ("affine-wrong-length", r"expected an array of 3 flat values, got \(5,\)"),
     ])
     def test_center_outside_the_domain_is_refused(self, case, message):
-        # the first Jacobian column passes the center's own type, which the operator checks
+        # the center is checked against the operator's space before any sample, the
+        # exact affine shortcut included
         op, center = {
             "other-grid-same-n": lambda: (
                 HammersteinOperator(grid_uniform(0, 1, 11), make_kernel("bounded-nonlinear")),
@@ -229,6 +225,7 @@ class TestDerivativeBound:
             "mixed-block-dims": lambda: (
                 GnnAggregateOperator(Graph(2, [(0, 1)]), 0.5 * np.eye(2)),
                 DirectSumVector([[1.0], [1.0, 2.0, 3.0]])),
+            "affine-wrong-length": lambda: (AffineOperator(0.5 * np.eye(3)), np.zeros(5)),
         }[case]()
         with pytest.raises(ValueError, match=message):
             derivative_bound_lipschitz(op, center, radius=1.0, n_samples=2)

@@ -11,6 +11,7 @@ from picardop import (
     Graph,
     GridFunction,
     HammersteinOperator,
+    PicardConfig,
     apply,
     graph_from_edgelist,
     grid_uniform,
@@ -18,6 +19,7 @@ from picardop import (
     neighborhood_membership_counts,
     operator_from_config,
 )
+from picardop import picard
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 
 
@@ -447,6 +449,54 @@ class TestFlatValues:
         with pytest.raises(NonFiniteError) as err:
             op(values)
         assert str(err.value) == message
+
+
+def _outside_the_space(case):
+    """An operator and a value outside its space, keyed by the Space.values branch it hits."""
+    grid = grid_uniform(0, 1, 4)
+    ops = {"affine": AffineOperator(0.5 * np.eye(3)),
+           "attention": AttentionOperator(*(0.5 * np.eye(2),) * 3),
+           "hammerstein": HammersteinOperator(grid, make_kernel("separable-linear")),
+           "gnn": GnnAggregateOperator(Graph(2, [(0, 1)]), 0.5 * np.eye(2))}
+    family, branch = case.split(":")
+    x = {
+        "wrong-grid": GridFunction(grid_uniform(0, 2, 4), np.ones(4)),
+        "wrong-block-count": DirectSumVector([[1.0, 2.0]]),
+        "mixed-block-dims": DirectSumVector([[1.0], [1.0, 2.0, 3.0]]),
+        "wrong-flat-shape": {"affine": np.ones(4), "attention": np.ones((3, 4)),
+                             "hammerstein": np.ones(3), "gnn": np.ones((2, 2))}[family],
+        "wrong-type": (DirectSumVector([np.ones(4)]) if family in ("hammerstein", "attention")
+                       else GridFunction(grid, np.ones(4))),
+    }[branch]
+    return ops[family], x
+
+
+class TestSpace:
+    @pytest.mark.parametrize("case, message", [
+        ("affine:wrong-flat-shape", r"expected an array of 3 flat values, got \(4,\)"),
+        ("affine:wrong-type", "expected an array of 3 flat values, got GridFunction"),
+        ("attention:wrong-flat-shape", r"expected an array of m x 2 flat values, got \(3, 4\)"),
+        ("attention:wrong-type", "expected an array of m x 2 flat values, got DirectSumVector"),
+        ("hammerstein:wrong-grid", "input must be a GridFunction on the operator's grid"),
+        ("hammerstein:wrong-flat-shape", r"expected an array of 4 flat values, got \(3,\)"),
+        ("hammerstein:wrong-type", "expected an array of 4 flat values, got DirectSumVector"),
+        ("gnn:wrong-block-count", "expected 2 blocks, got 1"),
+        ("gnn:mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
+        ("gnn:wrong-flat-shape", r"expected an array of 4 flat values, got \(2, 2\)"),
+        ("gnn:wrong-type", "expected an array of 4 flat values, got GridFunction"),
+    ])
+    def test_value_outside_the_space_is_refused_before_any_apply(self, monkeypatch, case,
+                                                                 message):
+        op, x = _outside_the_space(case)
+        with pytest.raises(ValueError, match=message):
+            op(x)
+        applied = []
+        monkeypatch.setattr(picard, "apply", lambda op, y: applied.append(y) or op(y))
+        for solve in (lambda: picard.picard_solve(op, PicardConfig(0.5, 1e-12, 50), x),
+                      lambda: picard.damped_solve(op, 0.5, x, 1e-12, 50)):
+            with pytest.raises(ValueError, match=message):
+                solve()
+        assert applied == []
 
 
 class TestApply:

@@ -278,8 +278,8 @@ class TestFlatArrayLoop:
         ("grid-function-to-gnn", "expected an array of 4 flat values, got GridFunction"),
     ])
     def test_start_outside_the_domain_is_refused(self, solver, case, message):
-        # a flat array carries no grid or block dims, so the first step applies
-        # the operator to x0 itself, which checks them
+        # a flat array carries no grid or block dims, so the solver checks x0
+        # itself against the operator's space before its first step
         gnn = GnnAggregateOperator(Graph(2, [(0, 1)]), 0.5 * np.eye(2))
         op, x0 = {
             "other-grid-same-n": lambda: (
@@ -295,20 +295,19 @@ class TestFlatArrayLoop:
             else:
                 damped_solve(op, 0.5, x0, 1e-12, 50)
 
-    def test_plain_callable_gets_x0_then_flat_values(self):
+    def test_plain_callable_gets_flat_values_from_the_first_step(self):
         grid = grid_uniform(0, 1, 5)
         seen = []
 
         def op(y):
             seen.append(type(y))
-            return y.with_values(0.5 * y.values) if isinstance(y, GridFunction) else 0.5 * y
+            return 0.5 * y
 
         cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
         sol, trace = picard_solve(op, cfg, GridFunction(grid, np.ones(5)))
         assert trace.converged and isinstance(sol, GridFunction)
-        assert seen[0] is GridFunction and set(seen[1:]) == {np.ndarray}
+        assert len(seen) == trace.iterations_used and set(seen) == {np.ndarray}
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("norm_kind", ["discrete-L2", "direct-sum"])
     def test_overflowing_norm_of_finite_entries_is_no_error(self, norm_kind):
         # 1e200**2 overflows the sum of squares, but every entry stays finite

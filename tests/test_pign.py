@@ -243,6 +243,14 @@ class TestLogisticReadout:
         _, acc = train_logistic_readout(X, y, split_seed=3, lr=0.5, epochs=50)
         assert 0.0 <= acc <= 1.0
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_label_outside_zero_one_is_refused(self, bad):
+        X = np.random.default_rng(24).standard_normal((20, 3))
+        y = np.repeat([0.0, 1.0], 10)
+        y[7] = bad
+        with pytest.raises(ValueError, match=r"^labels must be 0 or 1, got "):
+            train_logistic_readout(X, y, split_seed=5, lr=0.5, epochs=50)
+
     def test_non_finite_train_embedding_raises_at_first_epoch(self):
         rng = np.random.default_rng(23)
         X = rng.standard_normal((20, 3))

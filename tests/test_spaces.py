@@ -16,7 +16,6 @@ from picardop import (
     grid_uniform,
     lincomb,
     load_matrix_text,
-    load_vector_text,
     norm,
     unflatten_like,
     zero_like,
@@ -377,7 +376,10 @@ class TestFileIngestion:
     def test_vector(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("1\n2\n3\n")
-        assert np.array_equal(load_vector_text(path), [1.0, 2.0, 3.0])
+        # a vector is read as one column, or one row, and ravelled by the caller
+        assert np.array_equal(load_matrix_text(path), [[1.0], [2.0], [3.0]])
+        path.write_text("1 2 3\n")
+        assert np.array_equal(load_matrix_text(path).ravel(), [1.0, 2.0, 3.0])
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
