@@ -19,8 +19,9 @@ from .operators import (
     GnnAggregateOperator,
     apply,
     neighborhood_membership_counts,
+    norm_in,
 )
-from .spaces import flatten_values, lincomb, norm, unflatten_like
+from .spaces import Space, flatten_values, lincomb, norm
 
 FD_JACOBIAN_DIM_LIMIT = 64
 FD_DEFAULT_STEP = 1e-5
@@ -122,8 +123,9 @@ def lipschitz_sample(op, sampler, n_pairs: int, seed: int = 0,
 
     ``sampler(rng)`` draws one point from the operator's domain. Pairs closer
     than 1e-12 are skipped. ``extra_pairs`` lets callers add hand-picked
-    (x, y) pairs, e.g. aligned with a known worst-case direction. The result
-    is a lower bound on the true constant.
+    (x, y) pairs, e.g. aligned with a known worst-case direction. Distances
+    are measured in the operator's space. The result is a lower bound on the
+    true constant.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
@@ -132,10 +134,10 @@ def lipschitz_sample(op, sampler, n_pairs: int, seed: int = 0,
     best = -np.inf
     used = 0
     for x, y in itertools.chain(sampled, extra_pairs or ()):
-        gap = norm(lincomb(1.0, x, -1.0, y), norm_kind)
+        gap = norm_in(op, lincomb(1.0, x, -1.0, y), norm_kind)
         if gap < 1e-12:
             continue
-        ratio = norm(lincomb(1.0, apply(op, x), -1.0, apply(op, y)), norm_kind) / gap
+        ratio = norm_in(op, lincomb(1.0, apply(op, x), -1.0, apply(op, y)), norm_kind) / gap
         best = max(best, ratio)
         used += 1
     if used == 0:
@@ -144,28 +146,26 @@ def lipschitz_sample(op, sampler, n_pairs: int, seed: int = 0,
                              samples=used, is_upper_bound=False, seed=seed)
 
 
-def _jacobian(op, u, step: float) -> np.ndarray:
-    """Jacobian at u, one column per unit direction.
+def _jacobian(op, u: np.ndarray, step: float) -> np.ndarray:
+    """Jacobian at the flat values u, one column per unit direction.
 
     Attention columns are analytic derivatives; any other operator gets
-    central differences with the given step. derivative_bound_lipschitz has
-    checked u's structure against the operator's space, so every column's
-    points are u's flat values (in the shape of a plain-array u).
+    central differences with the given step, each point a plain array of u's
+    shape.
     """
-    flat = flatten_values(u)
+    flat = u.ravel()
     dim = flat.size
     if dim > FD_JACOBIAN_DIM_LIMIT:
         raise ValueError(f"Jacobian refused above {FD_JACOBIAN_DIM_LIMIT} dimensions "
                          f"(got {dim})")
-    shape = np.shape(getattr(u, "values", u))
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
         if isinstance(op, AttentionOperator):
-            col = attention_frechet(op, u, unflatten_like(u, e)).ravel()
+            col = attention_frechet(op, u, e.reshape(u.shape)).ravel()
         else:
-            plus, minus = (flat + step * e).reshape(shape), (flat - step * e).reshape(shape)
+            plus, minus = (flat + step * e).reshape(u.shape), (flat - step * e).reshape(u.shape)
             plus, minus = flatten_values(apply(op, plus)), flatten_values(apply(op, minus))
             col = (plus - minus) / (2 * step)
         cols.append(col)
@@ -179,19 +179,18 @@ def derivative_bound_lipschitz(op, center, radius: float, n_samples: int,
 
     By the mean value theorem this bounds the Lipschitz constant on the ball;
     since the supremum is only sampled, the value certifies a lower bound on
-    the true sup (exact for affine maps, whose derivative is constant).
+    the true sup (exact for affine maps, whose derivative is constant). The
+    center is checked against ``op.space``, then sampled as plain arrays.
     """
     if not radius > 0:
         raise ValueError("ball radius must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if hasattr(op, "space"):
-        op.space.values(center)  # the sampled points keep the center's structure
+    c = (getattr(op, "space", None) or Space.of(center)).values(center)
     if isinstance(op, AffineOperator):
         return LipschitzEstimate(value=spectral_norm(op.A), method="derivative-bound",
                                  samples=1, is_upper_bound=True, seed=seed)
     rng = np.random.default_rng(seed)
-    c = flatten_values(center)
     dim = c.size
     best = 0.0
     for _ in range(n_samples):
@@ -200,7 +199,7 @@ def derivative_bound_lipschitz(op, center, radius: float, n_samples: int,
         if dn == 0:
             continue
         r = radius * rng.random() ** (1.0 / dim)
-        u = unflatten_like(center, c + r * direction / dn)
+        u = (c.ravel() + r * direction / dn).reshape(c.shape)
         best = max(best, spectral_norm(_jacobian(op, u, fd_step)))
     return LipschitzEstimate(value=float(best), method="derivative-bound",
                              samples=n_samples, is_upper_bound=False, seed=seed)

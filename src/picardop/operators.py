@@ -6,11 +6,13 @@ Every operator is an immutable callable ``T`` on its ``space``, a
 Three rules hold for every operator here:
 
 - Its space is ``(d,)`` for affine, ``(None, d)`` (m tokens) for attention,
-  the grid's ``(n,)`` values for Hammerstein, and n blocks of dim d for graph
-  aggregation. One shared ``__call__`` maps ``space.values(x)`` and wraps the
-  output by ``space.wrap`` only when ``x`` was a ``GridFunction`` or
-  ``DirectSumVector``; both forms give the same bytes. A flat array is checked
-  only for its shape, so the solvers check a start once, before their loops.
+  the grid's ``(n,)`` values for Hammerstein, and n blocks of dim d (its
+  ``block_dims``) for graph aggregation. One shared ``__call__`` maps
+  ``space.values(x)`` and wraps the output by ``space.wrap`` only when ``x``
+  was a ``GridFunction`` or ``DirectSumVector``; both forms give the same
+  bytes. A flat array is checked only for its shape, so the solvers check a
+  start once, before their loops. The space also decides the norm: the
+  solvers and ``norm_in`` measure flat values in ``space.norm(kind)``.
 - Its ``_map`` checks its own output and raises ``NonFiniteError`` on a NaN or
   Inf entry.
 - ``apply`` only turns that error into a ``DivergenceError``.
@@ -316,7 +318,7 @@ class GnnAggregateOperator(Operator):
         self.graph = graph
         self.W = _finite_matrix(W, "W", square=True)
         self.d = self.W.shape[0]
-        self.space = Space((graph.n, self.d), blocks=True)
+        self.space = Space((graph.n, self.d), block_dims=(self.d,) * graph.n)
         # edge (v, i) of the CSR index sends row i of relu(F W^T) to entries
         # v*d .. v*d + d - 1 of the output
         rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
@@ -356,6 +358,13 @@ def apply(op, x):
         return op(x)
     except NonFiniteError as exc:
         raise DivergenceError(str(exc)) from exc
+
+
+def norm_in(op, x, kind: str) -> float:
+    """The ``kind`` norm of ``x`` in ``op.space`` (a plain callable: in x's own
+    space), so that flat values are measured by the operator's blocks too."""
+    space = getattr(op, "space", None) or Space.of(x)
+    return space.norm(kind)(space.values(x))
 
 
 def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:

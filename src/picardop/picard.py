@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError, config_value, integer
-from .operators import apply
-from .spaces import (NORM_KINDS, flat_norm_function, lincomb, norm, space_values,
-                     unflatten_like, zero_like)
+from .operators import apply, norm_in
+from .spaces import NORM_KINDS, Space, lincomb, norm, zero_like
 
 DIVERGENCE_STEP_RATIO = 1e12
 
@@ -129,14 +128,15 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         raise ValueError("max_iter must be at least 1")
     record_epsilon, record_max = record_stop or (epsilon, max_iter)
     recording = record_iterates
-    # The space is fixed once: x0 (and so f, which shares its space) is checked
-    # against the operator's space, and every step, the first included, runs
-    # on flat float arrays. Only the recorded iterates and the solution are
-    # wrapped in x0's grid or block structure.
-    fv, yv = space_values(f, x0)
-    if hasattr(op, "space"):
-        op.space.values(x0)
-    flat_norm = flat_norm_function(norm_kind, getattr(x0, "block_dims", None))
+    # f and x0 are read once in x0's space, which decides the form of the
+    # recorded iterates and the solution; x0 is checked against the operator's
+    # space, whose norm the steps are measured in. Every step, the first
+    # included, runs on flat float arrays.
+    space = Space.of(x0)
+    yv, fv = space.values(x0), space.values(f)
+    op_space = getattr(op, "space", space)
+    op_space.values(x0)
+    flat_norm = op_space.norm(norm_kind)
     steps = []
     iterates = [x0] if record_iterates else None
     first_step = None
@@ -170,7 +170,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         steps.append(StepRecord(k, step, resid))
         yv = y_next
         if recording:
-            iterates.append(unflatten_like(x0, yv))
+            iterates.append(space.wrap(yv))
             recording = step > record_epsilon and len(steps) < record_max
         if first_step is None:
             first_step = step
@@ -181,7 +181,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         if step <= epsilon:
             converged = True
             break
-    return unflatten_like(x0, yv), _trace(steps, converged, iterates)
+    return space.wrap(yv), _trace(steps, converged, iterates)
 
 
 def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,
@@ -195,8 +195,10 @@ def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = Fals
     ``record_iterates`` keeps the iterates in the trace; with ``record_run``, a
     shorter run's config, only that run's (through its first step <= its epsilon).
 
-    The start is checked once against ``op.space``; every step then applies
-    ``op`` (a plain callable too) to flat values and checks the output's shape.
+    The start decides the form of the solution and the iterates (``f`` is a
+    value of its space, or flat values), and ``op.space`` the norm (a plain
+    callable's: the start's). The start is checked once against ``op.space``;
+    every step applies ``op`` to flat values and checks the output's shape.
 
     Returns (solution, trace); raises DivergenceError (carrying the partial
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.
@@ -221,9 +223,9 @@ def damped_solve(op, lambda_mix: float, x0, epsilon: float, max_iter: int,
 
 
 def residual(op, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:
-    """The defect ||lambda*T(x) + f - x||."""
+    """The defect ||lambda*T(x) + f - x||, measured in op's space."""
     shifted = lincomb(lam, apply(op, x), 1.0, f)
-    return norm(lincomb(1.0, shifted, -1.0, x), norm_kind)
+    return norm_in(op, lincomb(1.0, shifted, -1.0, x), norm_kind)
 
 
 def predicted_iterations(k: float, lam: float, norm_Tf: float, epsilon: float) -> int:
@@ -286,12 +288,12 @@ def uniqueness_check(op, cfg: PicardConfig, f, seeds):
     """Run the iteration from two distinct starts and compare the limits.
 
     Returns (ok, distance): ok is True iff both runs converge and the final
-    iterates differ by at most 10 * cfg.epsilon in cfg's norm.
+    iterates differ by at most 10 * cfg.epsilon in cfg's norm, in op's space.
     """
     x0_a, x0_b = seeds
     sol_a, trace_a = picard_solve(op, cfg, f, x0=x0_a)
     sol_b, trace_b = picard_solve(op, cfg, f, x0=x0_b)
-    distance = norm(lincomb(1.0, sol_a, -1.0, sol_b), cfg.norm_kind)
+    distance = norm_in(op, lincomb(1.0, sol_a, -1.0, sol_b), cfg.norm_kind)
     ok = trace_a.converged and trace_b.converged and distance <= 10 * cfg.epsilon
     return ok, distance
 

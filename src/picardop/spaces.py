@@ -1,5 +1,10 @@
 """Discretized function spaces: interval grids, grid functions, direct sums, and norms.
 
+A ``Space`` is the one record of a value's structure: a shape, plus a grid or
+block dims. GridFunctions and DirectSumVectors hold their flat values and their
+space; ``Space.of(x)`` is any value's space. It checks and wraps values and owns
+the norms, so each helper here is ``Space.of(x)`` and one ``Space`` call.
+
 All values are immutable after construction and all operations are pure, so
 they can be shared freely across threads. Arithmetic is 64-bit floating point.
 """
@@ -132,19 +137,15 @@ class GridFunction:
     """A function sampled on a grid: one finite value per grid point."""
 
     def __init__(self, grid: Grid, values):
-        values = np.array(values, dtype=float)
-        if values.ndim != 1 or values.size != grid.n:
-            raise ValueError(f"expected {grid.n} values on the grid, got shape {values.shape}")
-        require_finite(values, "grid function values")
-        values.setflags(write=False)
-        self.grid = grid
-        self.values = values
+        self.space = Space((grid.n,), grid=grid)
+        self.values = self.space._copy(values)
+
+    @property
+    def grid(self) -> Grid:
+        return self.space.grid
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
-    def same_space(self, other) -> bool:
-        return isinstance(other, GridFunction) and self.grid.matches(other.grid)
+        return self.space.wrap(values)
 
     def __repr__(self) -> str:
         return f"GridFunction(n={self.grid.n}, values={self.values!r})"
@@ -154,8 +155,9 @@ class DirectSumVector:
     """Element of a direct sum of component spaces, stored as one flat array.
 
     ``values`` holds the blocks end to end and is read-only; ``blocks`` are
-    read-only views into it. The direct-sum norm is the *sum* of the component
-    L2 norms, so that for disjoint block concatenation the norm is additive.
+    read-only views into it, and ``space`` records their dims. The direct-sum
+    norm is the *sum* of the component L2 norms, so that for disjoint block
+    concatenation the norm is additive.
     """
 
     def __init__(self, blocks: Sequence, block_dims: Sequence[int] | None = None):
@@ -165,27 +167,16 @@ class DirectSumVector:
         dims = tuple(b.size for b in arrs)
         if block_dims is not None and tuple(block_dims) != dims:
             raise ValueError(f"block_dims {tuple(block_dims)} do not match actual dims {dims}")
-        self._store(np.concatenate(arrs) if arrs else np.zeros(0), dims)
+        self.space = Space((sum(dims),), block_dims=dims)
+        self.values = self.space._copy(np.concatenate(arrs))
 
-    def _store(self, values: np.ndarray, dims: tuple) -> None:
-        if not dims:
-            raise ValueError("need at least one block")
-        if values.shape != (sum(dims),):
-            raise ValueError(f"expected {sum(dims)} flat values for block dims {dims}, "
-                             f"got shape {values.shape}")
-        require_finite(values, "block values")
-        values.setflags(write=False)
-        self.values = values
-        self.block_dims = dims
+    @property
+    def block_dims(self) -> tuple:
+        return self.space.block_dims
 
     def with_values(self, values) -> "DirectSumVector":
         """A vector with this block structure holding a copy of the flat ``values``."""
-        out = DirectSumVector.__new__(DirectSumVector)
-        out._store(np.array(values, dtype=float), self.block_dims)
-        return out
-
-    def same_space(self, other) -> bool:
-        return isinstance(other, DirectSumVector) and self.block_dims == other.block_dims
+        return self.space.wrap(values)
 
     @functools.cached_property
     def blocks(self) -> tuple:
@@ -211,64 +202,124 @@ class DirectSumVector:
         M = np.asarray(M, dtype=float)
         if M.ndim != 2:
             raise ValueError("expected a 2-D matrix, one row per block")
-        out = cls.__new__(cls)
-        out._store(M.flatten(), (M.shape[1],) * M.shape[0])
-        return out
+        return Space(M.shape, block_dims=(M.shape[1],) * M.shape[0]).wrap(M)
 
     def __repr__(self) -> str:
         return f"DirectSumVector(n_blocks={self.n_blocks}, block_dims={self.block_dims})"
 
 
-# Values stored as one read-only flat array plus a fixed structure.
+# Values stored as one read-only flat array plus their space.
 _STRUCTURED = (GridFunction, DirectSumVector)
 
 
 class Space:
-    """An operator's domain: values of ``shape`` (``None``: a free row count).
+    """The space of a value: values of ``shape`` (``None``: a free row count).
 
-    A ``grid`` space holds GridFunctions on the grid, a ``blocks`` space of shape
-    ``(n, d)`` DirectSumVectors of n blocks of dim d, both mapped as flat arrays
-    of ``flat_shape``; any other space holds plain float arrays of ``shape``.
+    A ``grid`` space holds GridFunctions on the grid, and a ``block_dims``
+    space DirectSumVectors with blocks of those dims (``shape`` is (n, d) for
+    an operator's n blocks of dim d); both are handled as flat arrays of
+    ``flat_shape``. Any other space holds plain float arrays of ``shape``.
+    ``Space.of(x)`` is the space of a value x; the space decides its norms.
     """
 
-    def __init__(self, shape: tuple, grid: Grid | None = None, blocks: bool = False):
+    def __init__(self, shape: tuple, grid: Grid | None = None,
+                 block_dims: tuple | None = None):
+        if block_dims is not None and not block_dims:
+            raise ValueError("need at least one block")
         self.shape = shape
         self.grid = grid
-        self.blocks = blocks
-        self.flat_shape = (math.prod(shape),) if blocks else shape
+        self.block_dims = block_dims if block_dims is None else tuple(block_dims)
+        self.flat_shape = shape if block_dims is None else (sum(block_dims),)
+
+    @staticmethod
+    def of(x) -> "Space":
+        """The space of a GridFunction or DirectSumVector, else plain arrays of x's shape."""
+        if isinstance(x, _STRUCTURED):
+            return x.space
+        return Space(x.shape if isinstance(x, np.ndarray) else np.shape(x))
 
     def values(self, x) -> np.ndarray:
         """The flat values of ``x`` (an array of ``flat_shape`` as it is); a
         ValueError unless x lies in the space. Plain spaces convert by np.asarray."""
         if isinstance(x, np.ndarray) and x.shape == self.flat_shape:
             return x
-        if self.grid is None and not self.blocks and not isinstance(x, _STRUCTURED):
-            x = np.asarray(x, dtype=float)
-            free = self.shape[0] is None
-            if x.shape[free:] == self.shape[free:]:
-                return x
-        if isinstance(x, GridFunction) and self.grid is not None:
-            if not x.grid.matches(self.grid):
+        if not isinstance(x, _STRUCTURED):
+            if self.grid is None and self.block_dims is None:
+                x = np.asarray(x, dtype=float)
+                free = self.shape[:1] == (None,)
+                if x.shape[free:] == self.shape[free:]:
+                    return x
+        elif x.space.grid is not None and self.grid is not None:
+            if not x.space.grid.matches(self.grid):
                 raise ValueError("input must be a GridFunction on the operator's grid")
             return x.values
-        if isinstance(x, DirectSumVector) and self.blocks:
-            n, d = self.shape
-            if x.n_blocks != n:
-                raise ValueError(f"expected {n} blocks, got {x.n_blocks}")
-            if x.block_dims.count(d) != n:
-                raise ValueError(f"expected blocks of dim {d}, got {x.block_dims}")
+        elif x.space.block_dims is not None and self.block_dims is not None:
+            dims, want = x.space.block_dims, self.block_dims
+            if len(dims) != len(want):
+                raise ValueError(f"expected {len(want)} blocks, got {len(dims)}")
+            if dims != want:
+                d = want[0] if want.count(want[0]) == len(want) else want
+                raise ValueError(f"expected blocks of dim {d}, got {dims}")
             return x.values
         want = " x ".join("m" if n is None else str(n) for n in self.flat_shape)
         got = getattr(x, "shape", type(x).__name__)
         raise ValueError(f"expected an array of {want} flat values, got {got}")
 
-    def wrap(self, values: np.ndarray):
-        """Flat ``values`` in the space's structured form; a plain space returns them."""
-        if self.grid is not None:
-            return GridFunction(self.grid, values)
-        if self.blocks:
-            return DirectSumVector.from_matrix(np.reshape(values, self.shape))
+    def wrap(self, values):
+        """Flat ``values`` in the space's form: a GridFunction or DirectSumVector of
+        this space holding a finite read-only copy; a plain space returns them as
+        a float array (the array itself when it is one)."""
+        if self.grid is None and self.block_dims is None:
+            return np.asarray(values, dtype=float)
+        out = object.__new__(DirectSumVector if self.grid is None else GridFunction)
+        out.space, out.values = self, self._copy(values)
+        return out
+
+    def _copy(self, values) -> np.ndarray:
+        """A read-only float copy of a grid or block space's flat ``values`` (or
+        blocks as a matrix of ``shape``); a ValueError unless of ``flat_shape``,
+        a NonFiniteError unless finite."""
+        values = np.array(values, dtype=float)
+        if values.shape == self.shape != self.flat_shape:
+            values = values.ravel()
+        on_grid = self.grid is not None
+        if values.shape != self.flat_shape:
+            what = ("values on the grid" if on_grid
+                    else f"flat values for block dims {self.block_dims}")
+            raise ValueError(f"expected {self.flat_shape[0]} {what}, got shape {values.shape}")
+        require_finite(values, "grid function values" if on_grid else "block values")
+        values.setflags(write=False)
         return values
+
+    def norm(self, kind: str):
+        """The function ``values -> the kind norm`` of the space's flat values.
+
+        discrete-L2 is sqrt(sum of squares) and sup the max absolute entry.
+        direct-sum is the sum of the blocks' L2 norms, and the L2 norm in a
+        space without blocks (one block). Uniform blocks take all their L2
+        norms in one ``vecdot`` and sum them left to right, as the Python
+        ``sum`` over per-block ``np.linalg.norm`` calls that mixed dims use
+        does. A solver resolves the function once, before its loop.
+        """
+        if kind not in NORM_KINDS:
+            raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+        if kind == "sup":
+            return _sup_norm
+        if kind != "direct-sum" or self.block_dims is None:
+            return _l2_norm
+        dims = self.block_dims
+        if dims.count(dims[0]) == len(dims):
+            shape = (len(dims), dims[0])
+
+            def uniform_blocks_norm(values: np.ndarray) -> float:
+                S = values.reshape(shape)
+                return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
+            return uniform_blocks_norm
+        spans = [(end - d, end) for d, end in zip(dims, itertools.accumulate(dims))]
+
+        def mixed_blocks_norm(values: np.ndarray) -> float:
+            return float(sum(np.linalg.norm(values[start:end]) for start, end in spans))
+        return mixed_blocks_norm
 
 
 def _l2_norm(values: np.ndarray) -> float:
@@ -279,53 +330,10 @@ def _sup_norm(values: np.ndarray) -> float:
     return float(np.abs(values).max()) if values.size else 0.0
 
 
-def flat_norm_function(kind: str, block_dims: Sequence[int] | None = None):
-    """The function ``values -> flat_norm(values, kind, block_dims)``, resolved once.
-
-    A solver that takes many norms in one space picks the expression for its
-    kind and block structure here, before its loop, instead of on every call.
-    """
-    if kind == "sup":
-        return _sup_norm
-    if kind != "direct-sum" or block_dims is None:
-        return _l2_norm
-    dims = tuple(block_dims)
-    if dims.count(dims[0]) == len(dims):
-        shape = (len(dims), dims[0])
-
-        def uniform_blocks_norm(values: np.ndarray) -> float:
-            S = values.reshape(shape)
-            return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
-        return uniform_blocks_norm
-    spans = [(end - d, end) for d, end in zip(dims, itertools.accumulate(dims))]
-
-    def mixed_blocks_norm(values: np.ndarray) -> float:
-        return float(sum(np.linalg.norm(values[start:end]) for start, end in spans))
-    return mixed_blocks_norm
-
-
-def flat_norm(values: np.ndarray, kind: str, block_dims: Sequence[int] | None = None) -> float:
-    """The ``kind`` norm of a float array's entries.
-
-    ``block_dims`` splits the entries, in order, into direct-sum blocks; without
-    it the direct-sum norm is the L2 norm of one block. Uniform blocks take all
-    their L2 norms in one ``vecdot`` and sum them left to right, as the Python
-    ``sum`` over per-block ``np.linalg.norm`` calls that mixed dims use does.
-    """
-    return flat_norm_function(kind, block_dims)(values)
-
-
 def norm(x, kind: str = "discrete-L2") -> float:
-    """Norm of a vector-like value.
-
-    discrete-L2 is sqrt(sum of squares), sup is the max absolute entry, and
-    direct-sum is the sum of per-block L2 norms (a plain vector counts as a
-    single block).
-    """
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-    values = x.values if isinstance(x, _STRUCTURED) else np.asarray(x, dtype=float)
-    return flat_norm(values, kind, getattr(x, "block_dims", None))
+    """The ``kind`` norm (see ``Space.norm``) of a vector-like value in its own space."""
+    space = Space.of(x)
+    return space.norm(kind)(space.values(x).astype(float, copy=False))
 
 
 def direct_sum_norm(x: DirectSumVector) -> float:
@@ -333,53 +341,29 @@ def direct_sum_norm(x: DirectSumVector) -> float:
     return norm(x, "direct-sum")
 
 
-def space_values(x, y):
-    """The values of ``x`` and ``y`` as float arrays, once they are known to share a space.
-
-    Grid functions must share one grid and direct sums one block structure (the
-    flat ``values`` are returned); plain arrays must share one shape. Anything
-    else is a ValueError.
-    """
-    if isinstance(x, _STRUCTURED) or isinstance(y, _STRUCTURED):
-        if not (isinstance(x, _STRUCTURED) and x.same_space(y)):
-            raise ValueError("operands must share one grid or one block structure")
-        return x.values, y.values
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    return xa, ya
-
-
 def lincomb(a: float, x, b: float, y):
-    """Elementwise a*x + b*y for two vector-like values of matching shape."""
-    xv, yv = space_values(x, y)
-    out = a * xv + b * yv
-    if isinstance(x, _STRUCTURED):
-        return x.with_values(out)
+    """Elementwise a*x + b*y in x's space, where y is a value of it or its flat values."""
+    space = Space.of(x)
+    out = a * space.values(x) + b * space.values(y)
     require_finite(out, "linear combination")
-    return out
+    return space.wrap(out)
 
 
 def zero_like(x):
     """The zero element of the space x lives in."""
-    if isinstance(x, _STRUCTURED):
-        return x.with_values(np.zeros(x.values.size))
-    return np.zeros_like(np.asarray(x, dtype=float))
+    space = Space.of(x)
+    return space.wrap(np.zeros(space.flat_shape))
 
 
 def flatten_values(x) -> np.ndarray:
     """All numeric entries of a vector-like value as one flat array."""
-    if isinstance(x, _STRUCTURED):
-        return x.values
-    return np.asarray(x, dtype=float).ravel()
+    return Space.of(x).values(x).astype(float, copy=False).ravel()
 
 
 def unflatten_like(template, flat):
-    """Rebuild a vector-like value with the template's structure from flat entries."""
-    if isinstance(template, _STRUCTURED):
-        return template.with_values(flat)
-    return np.asarray(flat, dtype=float).reshape(np.asarray(template).shape)
+    """Rebuild a vector-like value in the template's space from flat entries."""
+    space = Space.of(template)
+    return space.wrap(np.asarray(flat, dtype=float).reshape(space.flat_shape))
 
 
 def load_matrix_text(path) -> np.ndarray:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from picardop import (
@@ -333,6 +333,36 @@ class TestGnnLemmaInequality:
             outer = report.L * report.alpha_max * float(block_gaps.sum())
             assert lhs <= mid * (1 + 1e-12)
             assert mid <= outer * (1 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           p_edge=st.floats(0.0, 1.0), include_self=st.booleans(),
+           log_w=st.floats(-3, 3), log_gap=st.floats(-12, 1), spike=st.booleans())
+    def test_sum_bound_on_random_graphs(self, n, d, seed, p_edge, include_self, log_w,
+                                        log_gap, spike):
+        # ||T F - T G|| <= L sum_i c_i ||F_i - G_i||. A spike case moves only node i,
+        # whose large positive row is the max in all c_i neighbourhoods it is in,
+        # under W = w I: there the bound is an equality, so each c_i is the count
+        # it must be. Each W F_i carries rounding of at most d ulps of |W| |F_i|.
+        rng = np.random.default_rng(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p_edge]
+        W = 10.0 ** log_w * (np.eye(d) if spike else rng.standard_normal((d, d)))
+        op = GnnAggregateOperator(Graph(n, np.array(pairs, dtype=int), include_self), W)
+        report = gnn_lipschitz_report(op)
+        F = rng.uniform(-1.0, 1.0, (n, d))
+        G = F + 10.0 ** log_gap * rng.uniform(-1.0, 1.0, (n, d))
+        if spike:
+            i = int(rng.integers(n))
+            F[i] = 100.0
+            G = F.copy()
+            G[i] += 10.0 ** log_gap * rng.uniform(-1.0, 1.0, d)
+        lhs = op.space.norm("direct-sum")(op(F.ravel()) - op(G.ravel()))
+        rhs = report.L * float(report.coeffs @ np.linalg.norm(F - G, axis=1))
+        sizes = np.linalg.norm(F, axis=1) + np.linalg.norm(G, axis=1)
+        rounding = 4 * d * np.finfo(float).eps * np.linalg.norm(W) * (report.coeffs @ sizes)
+        assert lhs <= rhs * (1 + 1e-12) + rounding
+        if spike:
+            assert lhs >= rhs * (1 - 1e-12) - rounding
 
     def test_certified_operator_has_unique_fixed_point(self):
         rng = np.random.default_rng(74)

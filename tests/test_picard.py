@@ -18,6 +18,7 @@ from picardop import (
     damped_solve,
     grid_uniform,
     lincomb,
+    lipschitz_sample,
     make_kernel,
     norm,
     picard_solve,
@@ -28,9 +29,11 @@ from picardop import (
     trace_csv_text,
     uniqueness_check,
 )
+from picardop.cli import RATES_ROUNDING
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
+from picardop.operators import norm_in
 from picardop.picard import TRACE_CSV_HEADER
-from picardop.spaces import NORM_KINDS
+from picardop.spaces import NORM_KINDS, flatten_values, unflatten_like
 
 
 def contraction(rng, d, sigma):
@@ -295,6 +298,18 @@ class TestFlatArrayLoop:
             else:
                 damped_solve(op, 0.5, x0, 1e-12, 50)
 
+    def test_flat_free_term_takes_the_start_form(self):
+        grid = grid_uniform(0, 1, 5)
+        op = HammersteinOperator(grid, make_kernel("separable-linear"))
+        cfg = PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50)
+        f = GridFunction(grid, np.linspace(1.0, 2.0, 5))
+        sol, trace = picard_solve(op, cfg, f.values, x0=f)
+        ref, ref_trace = picard_solve(op, cfg, f)
+        assert isinstance(sol, GridFunction) and sol.values.tobytes() == ref.values.tobytes()
+        assert trace.steps == ref_trace.steps
+        with pytest.raises(ValueError, match="input must be a GridFunction on the operator's grid"):
+            picard_solve(op, cfg, GridFunction(grid_uniform(0, 2, 5), f.values), x0=f)
+
     def test_plain_callable_gets_flat_values_from_the_first_step(self):
         grid = grid_uniform(0, 1, 5)
         seen = []
@@ -423,6 +438,45 @@ def test_from_json_names_the_field(section, field):
     assert err.value.field == field
 
 
+@st.composite
+def contraction_cases(draw, max_rate=0.95):
+    """An operator, a free term and two starts, with (lambda, smoothing, norm) whose
+    iteration map y -> alpha y + (1 - alpha)(lambda T(y) + f) contracts at k_map.
+
+    Affine maps contract by sigma_1(A) in L2 and by the max row sum of |A| in
+    sup; gnn maps by sigma_1(W) * alpha_max in direct-sum, given as flat
+    values or as DirectSumVectors.
+    """
+    case = draw(st.sampled_from(["affine-L2", "affine-sup", "gnn-flat", "gnn-blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    rate = draw(st.floats(0.05, max_rate))
+    alpha = draw(st.floats(0.0, 1.0, exclude_max=True)) * rate
+    k_T = (rate - alpha) / ((1.0 - alpha) * abs(lam))
+    if case.startswith("affine"):
+        d = int(rng.integers(1, 7))
+        A = rng.standard_normal((d, d))
+        A *= k_T / (spectral_norm(A) if case == "affine-L2" else np.abs(A).sum(axis=1).max())
+        op, f = AffineOperator(A, rng.standard_normal(d)), rng.standard_normal(d)
+        norm_kind = "discrete-L2" if case == "affine-L2" else "sup"
+    else:
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        edges = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2))
+        graph = Graph(n, edges[edges[:, 0] != edges[:, 1]],
+                      include_self=bool(rng.random() < 0.8))
+        alpha_max = max(int(np.diff(graph.indptr).max()), 1)
+        W = rng.standard_normal((d, d))
+        op = GnnAggregateOperator(graph, W * (k_T / (spectral_norm(W) * alpha_max)))
+        f = DirectSumVector.from_matrix(rng.standard_normal((n, d)))
+        f = f.values if case == "gnn-flat" else f
+        norm_kind = "direct-sum"
+    k_map = alpha + (1.0 - alpha) * abs(lam) * k_T
+    size = flatten_values(f).size
+    starts = tuple(unflatten_like(f, 10.0 ** rng.uniform(-1, 1) * rng.standard_normal(size))
+                   for _ in range(2))
+    return op, f, starts, PicardConfig(lam, 1e-7, 10000, alpha, norm_kind), k_map
+
+
 class TestBanachBounds:
     def test_scalar_contraction_by_hand(self):
         # T(x) = 0.5 x + 1 iterated from 0: iterates 0, 1, 1.5, 1.75, ... limit 2
@@ -454,6 +508,24 @@ class TestBanachBounds:
                 assert rec.actual_error <= rec.apriori_bound
                 if rec.aposteriori_bound is not None:
                     assert rec.actual_error <= rec.aposteriori_bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(contraction_cases())
+    def test_bounds_dominate_the_actual_error_in_the_operators_norm(self, case):
+        # the allowance of cli's rates check: the reference's own error, and
+        # rounding of the iterates' size
+        op, f, _, cfg, k_map = case
+        _, trace = picard_solve(op, cfg, f, record_iterates=True)
+        reference, ref_trace = picard_solve(
+            op, PicardConfig(cfg.lam, 1e-12, 100000, cfg.smoothing, cfg.norm_kind), f)
+        scale = norm_in(op, reference, cfg.norm_kind) + norm_in(op, f, cfg.norm_kind)
+        slack = (k_map * ref_trace.final_step + RATES_ROUNDING * scale) / (1.0 - k_map)
+        for rec in banach_bounds(trace, k_map, reference=reference, norm_kind=cfg.norm_kind):
+            error = norm_in(op, lincomb(1.0, trace.iterates[rec.n], -1.0, reference),
+                            cfg.norm_kind)
+            for bound in (rec.apriori_bound, rec.aposteriori_bound):
+                if bound is not None:
+                    assert max(error, rec.actual_error) <= bound * (1 + RATES_ROUNDING) + slack
 
     def test_rejects_bad_constant(self):
         op = AffineOperator(np.array([[0.5]]), np.array([1.0]))
@@ -491,6 +563,14 @@ class TestUniqueness:
                                          rng.standard_normal(5) * 10))
         assert ok
         assert distance <= 10 * cfg.epsilon
+
+    @settings(max_examples=60, deadline=None)
+    @given(contraction_cases(max_rate=0.8))
+    def test_two_starts_reach_one_fixed_point(self, case):
+        # each limit lies within k/(1-k) * epsilon <= 4 epsilon of the fixed point
+        op, f, starts, cfg, _ = case
+        ok, distance = uniqueness_check(op, cfg, f, starts)
+        assert ok and distance <= 10 * cfg.epsilon
 
     def test_identity_is_not_unique(self):
         op = AffineOperator(np.eye(1))
@@ -585,6 +665,28 @@ class TestUniformNu:
                 f = GridFunction(g, scale * rng.standard_normal(g.n))
                 sol, _ = picard_solve(op, cfg, f)
                 assert residual(op, 1.0, f, sol) < eps
+
+
+class TestTheOperatorsSpaceDecidesTheNorm:
+    @pytest.mark.parametrize("function", ["picard_solve", "residual", "uniqueness_check",
+                                          "lipschitz_sample"])
+    def test_flat_and_structured_gnn_values_give_equal_numbers(self, function):
+        # under direct-sum a gnn measures flat values by its blocks, as it does
+        # their DirectSumVector
+        rng = np.random.default_rng(31)
+        op = GnnAggregateOperator(Graph(3, [(0, 1), (1, 2)]),
+                                  rescale_to_contraction(rng.standard_normal((2, 2)), 3, 0.8))
+        F, G = (DirectSumVector.from_matrix(rng.standard_normal((3, 2))) for _ in range(2))
+        cfg = PicardConfig(lam=0.9, epsilon=1e-10, max_iter=500, norm_kind="direct-sum")
+        run = {
+            "picard_solve": lambda f, g: picard_solve(op, cfg, f)[1].steps,
+            "residual": lambda f, g: residual(op, 0.9, f, g, "direct-sum"),
+            "uniqueness_check": lambda f, g: uniqueness_check(op, cfg, f, (f, g)),
+            "lipschitz_sample": lambda f, g: lipschitz_sample(
+                op, lambda r: unflatten_like(f, r.standard_normal(6)), 20,
+                norm_kind="direct-sum", extra_pairs=[(f, g)]).value,
+        }[function]
+        assert run(F, G) == run(F.values, G.values)
 
 
 class TestTraceCsv:

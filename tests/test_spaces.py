@@ -21,7 +21,7 @@ from picardop import (
     zero_like,
 )
 from picardop.errors import NonFiniteError
-from picardop.spaces import flat_norm, require_finite
+from picardop.spaces import Space, require_finite
 
 
 class TestGridUniform:
@@ -288,7 +288,7 @@ class TestFlatNorm:
         ends = np.cumsum(dims)
         blocks = [values[end - d:end] for d, end in zip(dims, ends)]
         per_block = sum(np.linalg.norm(b) for b in blocks)
-        assert flat_norm(values, "direct-sum", dims) == per_block
+        assert Space((sum(dims),), block_dims=dims).norm("direct-sum")(values) == per_block
         assert norm(DirectSumVector(blocks), "direct-sum") == per_block
 
 
@@ -350,6 +350,18 @@ class TestLincomb:
         y = DirectSumVector([[1.0], [2.0]])
         with pytest.raises(ValueError):
             lincomb(1, x, 1, y)
+
+    def test_x_decides_the_form_and_y_may_be_its_flat_values(self):
+        f = GridFunction(grid_uniform(0, 1, 3), [1.0, 2.0, 3.0])
+        out = lincomb(2.0, f, 1.0, np.ones(3))
+        assert isinstance(out, GridFunction) and out.grid is f.grid
+        assert out.values.tolist() == [3.0, 5.0, 7.0]
+        x = DirectSumVector([[1.0], [2.0, 3.0]])
+        assert lincomb(1.0, x, -1.0, x.values).block_dims == (1, 2)
+        with pytest.raises(ValueError, match=r"expected blocks of dim \(1, 2\), got \(2, 1\)"):
+            lincomb(1.0, x, 1.0, DirectSumVector([[1.0, 2.0], [3.0]]))
+        with pytest.raises(ValueError, match="expected an array of 3 flat values, got GridFunction"):
+            lincomb(1.0, np.ones(3), 1.0, f)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_is_non_finite_error(self):
