@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -34,10 +35,8 @@ from .operators import (
     _matrix_entry,
     operator_from_config,
 )
-from .picard import (IterationTrace, PicardConfig, banach_bounds, picard_solve, residual,
-                     trace_csv_text)
+from .picard import PicardConfig, banach_bounds, picard_solve, residual, trace_csv_text
 from .pign import run_pign_experiment
-from .spaces import norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -174,13 +173,12 @@ def cmd_rates(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     reference, ref_trace = picard_solve(op, ref_cfg, f, record_iterates=True,
                                         record_run=pcfg)
     n = len(ref_trace.iterates) - 1
-    steps = ref_trace.steps[:n]
-    trace = IterationTrace(steps=steps, converged=steps[-1].step_norm <= pcfg.epsilon,
-                           iterations_used=n, iterates=ref_trace.iterates)
-    bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=pcfg.norm_kind)
+    trace = dataclasses.replace(ref_trace, steps=ref_trace.steps[:n],
+                                converged=ref_trace.steps[n - 1].step_norm <= pcfg.epsilon)
+    bounds = banach_bounds(trace, k_map, reference=reference)
     # The reference lies within its a posteriori bound of the fixed point, and
     # contracting float iterates settle within ~eps * (|x| + |f|) / (1 - k) of it.
-    scale = norm(reference, pcfg.norm_kind) + norm(f, pcfg.norm_kind)
+    scale = trace.norm(reference) + trace.norm(f)
     slack = (k_map * ref_trace.final_step + RATES_ROUNDING * scale) / (1.0 - k_map)
     for rec in bounds:
         for kind, bound in (("a priori", rec.apriori_bound),

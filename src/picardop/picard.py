@@ -15,6 +15,7 @@ quantities coincide.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import DivergenceError, config_value, integer
 from .operators import apply, norm_in
-from .spaces import NORM_KINDS, Space, lincomb, norm, zero_like
+# norm is unused here, but bench/tracing.py's WRAPS rebinds picard.norm by name
+from .spaces import NORM_KINDS, Space, lincomb, norm, zero_like  # noqa: F401
 
 DIVERGENCE_STEP_RATIO = 1e12
 
@@ -83,16 +85,31 @@ class StepRecord:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration history of a solve.
+    """Per-iteration history of a solve, and how it measured.
 
+    ``space`` and ``norm_kind`` are those its steps were measured in: the
+    operator's space (a plain callable's: the start's) and the config's norm.
     ``iterates`` holds y_0 .. y_N when the solve was asked to record them
     (needed for error bounds against a reference solution).
     """
 
     steps: list
     converged: bool
-    iterations_used: int
+    space: Space
+    norm_kind: str
     iterates: Optional[list] = None
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.steps)
+
+    def norm(self, x) -> float:
+        """||x|| in the norm of the steps; x is a value of the space or its flat values."""
+        return self.space.norm(self.norm_kind)(self.space.values(x))
+
+    def distance(self, x, y) -> float:
+        """||x - y|| in the norm of the steps, for x and y in either form."""
+        return self.norm(lincomb(1.0, self.space.values(x), -1.0, self.space.values(y)))
 
     @property
     def step_norms(self) -> np.ndarray:
@@ -117,16 +134,10 @@ class BanachBoundRecord:
     actual_error: Optional[float] = None
 
 
-def _trace(steps, converged, iterates):
-    return IterationTrace(steps=steps, converged=converged,
-                          iterations_used=len(steps), iterates=iterates)
-
-
 def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
-             record_iterates=False, record_stop=None):
+             record_iterates=False, record_run=None):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    record_epsilon, record_max = record_stop or (epsilon, max_iter)
     recording = record_iterates
     # f and x0 are read once in x0's space, which decides the form of the
     # recorded iterates and the solution; x0 is checked against the operator's
@@ -137,16 +148,14 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     op_space = getattr(op, "space", space)
     op_space.values(x0)
     flat_norm = op_space.norm(norm_kind)
-    steps = []
-    iterates = [x0] if record_iterates else None
+    trace = IterationTrace([], False, op_space, norm_kind, [x0] if record_iterates else None)
+    steps, iterates = trace.steps, trace.iterates
     first_step = None
-    converged = False
     for k in range(max_iter):
         try:
             tv = np.asarray(apply(op, yv), dtype=float)
         except DivergenceError as exc:
-            raise DivergenceError(f"{exc} (iteration {k})",
-                                  _trace(steps, False, iterates)) from exc
+            raise DivergenceError(f"{exc} (iteration {k})", trace) from exc
         if tv.shape != yv.shape:
             raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
         # in-place forms of lam * tv + fv and alpha * yv + (1 - alpha) * target:
@@ -165,23 +174,23 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         # entries can overflow one, so the entries are checked only then
         if not (math.isfinite(resid) and math.isfinite(step)) and not all(
                 np.isfinite(v).all() for v in (target, diff, y_next, y_next - yv)):
-            raise DivergenceError(f"iterate became non-finite at iteration {k}",
-                                  _trace(steps, False, iterates))
+            raise DivergenceError(f"iterate became non-finite at iteration {k}", trace)
         steps.append(StepRecord(k, step, resid))
         yv = y_next
         if recording:
             iterates.append(space.wrap(yv))
-            recording = step > record_epsilon and len(steps) < record_max
+            recording = record_run is None or (step > record_run.epsilon
+                                               and len(steps) < record_run.max_iter)
         if first_step is None:
             first_step = step
         elif first_step > 0 and step > DIVERGENCE_STEP_RATIO * first_step:
             raise DivergenceError(
                 f"step norm exceeded {DIVERGENCE_STEP_RATIO:g} x its initial value "
-                f"at iteration {k}", _trace(steps, False, iterates))
+                f"at iteration {k}", trace)
         if step <= epsilon:
-            converged = True
+            trace.converged = True
             break
-    return space.wrap(yv), _trace(steps, converged, iterates)
+    return space.wrap(yv), trace
 
 
 def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,
@@ -204,9 +213,8 @@ def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = Fals
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.
     """
     start = f if x0 is None else x0
-    record_stop = None if record_run is None else (record_run.epsilon, record_run.max_iter)
     return _iterate(op, cfg.lam, f, cfg.smoothing, start, cfg.epsilon,
-                    cfg.max_iter, cfg.norm_kind, record_iterates, record_stop)
+                    cfg.max_iter, cfg.norm_kind, record_iterates, record_run)
 
 
 def damped_solve(op, lambda_mix: float, x0, epsilon: float, max_iter: int,
@@ -258,13 +266,12 @@ def predicted_iterations(k: float, lam: float, norm_Tf: float, epsilon: float) -
     return nu
 
 
-def banach_bounds(trace: IterationTrace, k: float, reference=None,
-                  norm_kind: str = "discrete-L2") -> list:
+def banach_bounds(trace: IterationTrace, k: float, reference=None) -> list:
     """A priori / a posteriori error bounds for each iterate of a contraction.
 
     Produces records for n = 0 .. iterations_used. ``actual_error`` is filled
-    against ``reference`` when given, which requires the trace to have recorded
-    its iterates.
+    against ``reference`` (in either form) when given, which requires recorded
+    iterates, and measured in the trace's norm, the one the bounds come from.
     """
     if not 0 <= k < 1:
         raise ValueError("contraction constant k must lie in [0, 1)")
@@ -279,7 +286,7 @@ def banach_bounds(trace: IterationTrace, k: float, reference=None,
         aposteriori = k / (1 - k) * trace.steps[n - 1].step_norm if n >= 1 else None
         actual = None
         if reference is not None:
-            actual = norm(lincomb(1.0, trace.iterates[n], -1.0, reference), norm_kind)
+            actual = trace.distance(trace.iterates[n], reference)
         records.append(BanachBoundRecord(n, apriori, aposteriori, actual))
     return records
 
@@ -288,12 +295,12 @@ def uniqueness_check(op, cfg: PicardConfig, f, seeds):
     """Run the iteration from two distinct starts and compare the limits.
 
     Returns (ok, distance): ok is True iff both runs converge and the final
-    iterates differ by at most 10 * cfg.epsilon in cfg's norm, in op's space.
+    iterates differ by at most 10 * cfg.epsilon in the norm of the runs' steps.
     """
     x0_a, x0_b = seeds
     sol_a, trace_a = picard_solve(op, cfg, f, x0=x0_a)
     sol_b, trace_b = picard_solve(op, cfg, f, x0=x0_b)
-    distance = norm_in(op, lincomb(1.0, sol_a, -1.0, sol_b), cfg.norm_kind)
+    distance = trace_a.distance(sol_a, sol_b)
     ok = trace_a.converged and trace_b.converged and distance <= 10 * cfg.epsilon
     return ok, distance
 
@@ -309,12 +316,7 @@ def trace_csv_text(trace: IterationTrace, bounds: Optional[Sequence] = None) -> 
     """Render a trace (and optional bound records, aligned by iterate index) as CSV."""
     out = io.StringIO()
     out.write(TRACE_CSV_HEADER + "\n")
-    n_rows = len(trace.steps)
-    if bounds is not None:
-        n_rows = max(n_rows, len(bounds))
-    for i in range(n_rows):
-        step = trace.steps[i] if i < len(trace.steps) else None
-        rec = bounds[i] if bounds is not None and i < len(bounds) else None
+    for i, (step, rec) in enumerate(itertools.zip_longest(trace.steps, bounds or ())):
         cells = [
             str(i),
             _fmt(step.step_norm if step else None),

@@ -129,7 +129,8 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     both tiny and large embedding scales train on equal footing. Returns
     (weights, test_accuracy); the weight vector acts on standardized features
     with an intercept as its last component. A label other than 0 or 1 is a
-    ValueError naming ``labels``.
+    ValueError naming ``labels``; fewer than 3 nodes are a ValueError too, as
+    the split would leave the train or the test set empty.
 
     With 0/1 labels the clipped log-loss is non-finite exactly when a
     probability is NaN, as ``p = (1 + tanh(z/2)) / 2`` otherwise lies in
@@ -151,6 +152,8 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(n)
     n_train = int(round(0.8 * n))
+    if not 0 < n_train < n:
+        raise ValueError(f"an 80/20 split of {n} nodes leaves an empty train or test set")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 
     mu = X[train_idx].mean(axis=0)
@@ -187,8 +190,8 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
     """
     mode = config_value(cfg, "mode", "'anchored' or 'homogeneous'",
                         lambda v: v in ("anchored", "homogeneous"), cast=None, default="anchored")
-    n_nodes = config_value(cfg, "dataset.n", "an even integer >= 2",
-                           lambda v: v >= 2 and v % 2 == 0, integer)
+    n_nodes = config_value(cfg, "dataset.n", "an even integer >= 4",
+                           lambda v: v >= 4 and v % 2 == 0, integer)
     d = config_value(cfg, "dataset.d", "an integer >= 1", lambda v: v >= 1, integer)
     p_in = config_value(cfg, "dataset.p_in", "a number in (0, 1]", lambda v: 0 < v <= 1)
     p_out = config_value(cfg, "dataset.p_out", "a number in [0, dataset.p_in)",

@@ -253,7 +253,7 @@ class TestRatesCommand:
         reference, _ = picard_solve(op, PicardConfig(-0.8, 1e-13, 10000, smoothing,
                                                      norm_kind), f)
         k_map = smoothing + (1 - smoothing) * 0.8 * 0.6
-        bounds = banach_bounds(trace, k_map, reference=reference, norm_kind=norm_kind)
+        bounds = banach_bounds(trace, k_map, reference=reference)
         calls = []
         monkeypatch.setattr(cli, "picard_solve",
                             lambda *args, **kw: calls.append(picard_solve(*args, **kw))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from picardop import (
 )
 from picardop.cli import RATES_ROUNDING
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
-from picardop.operators import norm_in
+from picardop.operators import neighborhood_membership_counts, norm_in
 from picardop.picard import TRACE_CSV_HEADER
 from picardop.spaces import NORM_KINDS, flatten_values, unflatten_like
 
@@ -439,9 +440,10 @@ def test_from_json_names_the_field(section, field):
 
 
 @st.composite
-def contraction_cases(draw, max_rate=0.95):
+def contraction_cases(draw, max_rate=0.95, smoothing=True):
     """An operator, a free term and two starts, with (lambda, smoothing, norm) whose
-    iteration map y -> alpha y + (1 - alpha)(lambda T(y) + f) contracts at k_map.
+    iteration map y -> alpha y + (1 - alpha)(lambda T(y) + f) contracts at k_map
+    (alpha = 0 unless ``smoothing``).
 
     Affine maps contract by sigma_1(A) in L2 and by the max row sum of |A| in
     sup; gnn maps by sigma_1(W) * alpha_max in direct-sum, given as flat
@@ -451,7 +453,7 @@ def contraction_cases(draw, max_rate=0.95):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
     rate = draw(st.floats(0.05, max_rate))
-    alpha = draw(st.floats(0.0, 1.0, exclude_max=True)) * rate
+    alpha = draw(st.floats(0.0, 1.0, exclude_max=True)) * rate if smoothing else 0.0
     k_T = (rate - alpha) / ((1.0 - alpha) * abs(lam))
     if case.startswith("affine"):
         d = int(rng.integers(1, 7))
@@ -520,12 +522,13 @@ class TestBanachBounds:
             op, PicardConfig(cfg.lam, 1e-12, 100000, cfg.smoothing, cfg.norm_kind), f)
         scale = norm_in(op, reference, cfg.norm_kind) + norm_in(op, f, cfg.norm_kind)
         slack = (k_map * ref_trace.final_step + RATES_ROUNDING * scale) / (1.0 - k_map)
-        for rec in banach_bounds(trace, k_map, reference=reference, norm_kind=cfg.norm_kind):
+        for rec in banach_bounds(trace, k_map, reference=reference):
             error = norm_in(op, lincomb(1.0, trace.iterates[rec.n], -1.0, reference),
                             cfg.norm_kind)
+            assert rec.actual_error == error
             for bound in (rec.apriori_bound, rec.aposteriori_bound):
                 if bound is not None:
-                    assert max(error, rec.actual_error) <= bound * (1 + RATES_ROUNDING) + slack
+                    assert error <= bound * (1 + RATES_ROUNDING) + slack
 
     def test_rejects_bad_constant(self):
         op = AffineOperator(np.array([[0.5]]), np.array([1.0]))
@@ -544,6 +547,26 @@ class TestBanachBounds:
         assert [r.actual_error for r in records] == [1.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             banach_bounds(trace, -0.1)
+
+    def test_flat_and_structured_forms_give_one_actual_error_column(self):
+        # a gnn solved under direct-sum measures its actual errors by blocks, as
+        # its steps and bounds, from either start and against either reference
+        rng = np.random.default_rng(36)
+        graph = Graph(6, [(i, i + 1) for i in range(5)])
+        alpha_max = int(neighborhood_membership_counts(graph).max())
+        op = GnnAggregateOperator(
+            graph, rescale_to_contraction(rng.standard_normal((2, 2)), alpha_max, 0.8))
+        f = DirectSumVector.from_matrix(rng.standard_normal((6, 2)))
+        cfg = PicardConfig(lam=1.0, epsilon=1e-8, max_iter=500, norm_kind="direct-sum")
+        reference, _ = picard_solve(op, dataclasses.replace(cfg, epsilon=1e-14), f)
+        flat, blocks = (picard_solve(op, cfg, start, record_iterates=True)[1]
+                        for start in (f.values, f))
+        assert (flat.space, flat.norm_kind) == (op.space, "direct-sum")
+        expected = [norm(lincomb(1.0, x, -1.0, reference), "direct-sum")
+                    for x in blocks.iterates]
+        for trace in (flat, blocks):
+            for ref in (reference, reference.values):
+                assert [r.actual_error for r in banach_bounds(trace, 0.8, ref)] == expected
 
     def test_actual_errors_need_recorded_iterates(self):
         op = AffineOperator(np.array([[0.5]]), np.array([1.0]))
@@ -586,6 +609,40 @@ class TestUniqueness:
         ok, _ = uniqueness_check(op, cfg, np.ones(2),
                                  (np.array([5.0, 5.0]), np.array([-9.0, 2.0])))
         assert ok
+
+
+class TestFixedPointProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(contraction_cases(smoothing=False), st.floats(-8, -1))
+    def test_nu_plain_updates_reach_epsilon_in_the_solves_norm(self, case, log_eps):
+        op, f, _, cfg, rate = case
+        cfg = dataclasses.replace(cfg, epsilon=10.0 ** log_eps)
+        nu = predicted_iterations(rate / abs(cfg.lam), cfg.lam,
+                                  norm_in(op, op(f), cfg.norm_kind), cfg.epsilon)
+        y = f
+        if nu > 0:
+            y, _ = picard_solve(op, dataclasses.replace(cfg, max_iter=nu), f)
+        # the allowance of cli's rates check for rounding of the iterates' size
+        scale = norm_in(op, y, cfg.norm_kind) + norm_in(op, f, cfg.norm_kind)
+        rounding = RATES_ROUNDING * scale / (1.0 - rate)
+        assert residual(op, cfg.lam, f, y, cfg.norm_kind) < cfg.epsilon + rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(contraction_cases(max_rate=0.8, smoothing=False),
+           st.floats(0.0, 0.9, exclude_max=True))
+    def test_damping_leaves_the_fixed_point_unchanged(self, case, alpha):
+        # each limit lies within its a posteriori bound of the one fixed point
+        op, f, _, cfg, rate = case
+        bound, limits = 0.0, []
+        for a in (0.0, alpha):
+            x, trace = picard_solve(op, dataclasses.replace(cfg, smoothing=a), f)
+            assert trace.converged
+            k = a + (1.0 - a) * rate
+            scale = trace.norm(x) + trace.norm(f)
+            bound += banach_bounds(trace, k)[-1].aposteriori_bound
+            bound += RATES_ROUNDING * scale / (1.0 - k)
+            limits.append(x)
+        assert trace.distance(*limits) <= bound
 
 
 class TestDampedSolve:

@@ -251,6 +251,13 @@ class TestLogisticReadout:
         with pytest.raises(ValueError, match=r"^labels must be 0 or 1, got "):
             train_logistic_readout(X, y, split_seed=5, lr=0.5, epochs=50)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_split_leaving_an_empty_set_is_refused(self, n):
+        # round(0.8 n) train nodes: none for n = 0, no test node for n = 1, 2
+        X = np.random.default_rng(25).standard_normal((n, 3))
+        with pytest.raises(ValueError, match=rf"^an 80/20 split of {n} nodes leaves an empty"):
+            train_logistic_readout(X, np.arange(n) % 2, split_seed=5, lr=0.5, epochs=50)
+
     def test_non_finite_train_embedding_raises_at_first_epoch(self):
         rng = np.random.default_rng(23)
         X = rng.standard_normal((20, 3))
@@ -301,6 +308,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("overrides, field", [
         ({"dataset": {"n": 7}}, "dataset.n"),
+        ({"dataset": {"n": 2}}, "dataset.n"),
         ({"dataset": {"p_out": 0.05}}, "dataset.p_out"),
         ({"noise": {"magnitude": 0.0}}, "noise.magnitude"),
         ({"noise": 5}, "noise"),
@@ -308,7 +316,7 @@ class TestExperiment:
         ({"picard": {"epsilon": float("inf")}}, "picard.epsilon"),
         ({"picard": {"alpha": None}}, "picard.alpha"),
         ({"readout": {"epochs": 0}}, "readout.epochs"),
-    ], ids=["odd-n", "p_out-above-p_in", "zero-magnitude", "section-not-object",
+    ], ids=["odd-n", "two-nodes", "p_out-above-p_in", "zero-magnitude", "section-not-object",
             "string-seed", "infinite-epsilon", "missing-alpha", "zero-epochs"])
     def test_bad_config_value_names_field(self, overrides, field):
         with pytest.raises(ConfigError) as err:
