@@ -25,6 +25,7 @@ from .spaces import (
     load_matrix_text,
 )
 from .operators import (
+    Operator,
     AffineOperator,
     AttentionOperator,
     HammersteinOperator,

@@ -17,11 +17,12 @@ from .operators import (
     AffineOperator,
     AttentionOperator,
     GnnAggregateOperator,
+    Operator,
     apply,
     neighborhood_membership_counts,
     norm_in,
 )
-from .spaces import Space, flatten_values, lincomb, norm
+from .spaces import lincomb, norm  # noqa: F401  (norm: bench/tracing.py's WRAPS rebinds it)
 
 FD_JACOBIAN_DIM_LIMIT = 64
 FD_DEFAULT_STEP = 1e-5
@@ -85,22 +86,26 @@ def attention_frechet(op: AttentionOperator, Y, H) -> np.ndarray:
     return (Qh @ K.T) @ V + (Q @ Kh.T) @ V + (Q @ K.T) @ Vh
 
 
-def fd_directional(op, y, h, t: float = FD_DEFAULT_STEP):
-    """Central-difference directional derivative (T(y + t h) - T(y - t h)) / (2 t)."""
+def fd_directional(op: Operator, y, h, t: float = FD_DEFAULT_STEP):
+    """Central-difference directional derivative (T(y + t h) - T(y - t h)) / (2 t),
+    combined in ``op.space`` and returned in y's form."""
     if t == 0:
         raise ValueError("step t must be nonzero")
-    plus = apply(op, lincomb(1.0, y, t, h))
-    minus = apply(op, lincomb(1.0, y, -t, h))
-    return lincomb(1.0 / (2 * t), plus, -1.0 / (2 * t), minus)
+    space = op.space
+    yv = space.values(y)
+    plus = apply(op, space.lincomb(1.0, yv, t, h))
+    minus = apply(op, space.lincomb(1.0, yv, -t, h))
+    out = space.lincomb(1.0 / (2 * t), plus, -1.0 / (2 * t), minus)
+    return out if yv is y else space.wrap(out)
 
 
 def frechet_check(op: AttentionOperator, Y, H,
                   t: float = FD_DEFAULT_STEP) -> FrechetDirectionalResult:
-    """Compare the analytic attention derivative against the central difference."""
+    """Compare the analytic attention derivative with the central difference, in L2."""
     analytic = attention_frechet(op, Y, H)
-    fd = fd_directional(op, np.asarray(Y, dtype=float), np.asarray(H, dtype=float), t)
-    denom = max(norm(analytic), 1e-14)
-    rel = norm(lincomb(1.0, analytic, -1.0, fd)) / denom
+    fd = fd_directional(op, Y, H, t)
+    l2 = op.space.norm("discrete-L2")
+    rel = l2(op.space.lincomb(1.0, analytic, -1.0, fd)) / max(l2(analytic), 1e-14)
     return FrechetDirectionalResult(analytic, fd, rel, t)
 
 
@@ -116,7 +121,7 @@ def spectral_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def lipschitz_sample(op, sampler, n_pairs: int, seed: int = 0,
+def lipschitz_sample(op: Operator, sampler, n_pairs: int, seed: int = 0,
                      norm_kind: str = "discrete-L2",
                      extra_pairs=None) -> LipschitzEstimate:
     """Empirical Lipschitz constant: max of ||T(x)-T(y)|| / ||x-y|| over sampled pairs.
@@ -166,13 +171,12 @@ def _jacobian(op, u: np.ndarray, step: float) -> np.ndarray:
             col = attention_frechet(op, u, e.reshape(u.shape)).ravel()
         else:
             plus, minus = (flat + step * e).reshape(u.shape), (flat - step * e).reshape(u.shape)
-            plus, minus = flatten_values(apply(op, plus)), flatten_values(apply(op, minus))
-            col = (plus - minus) / (2 * step)
+            col = (apply(op, plus) - apply(op, minus)).ravel() / (2 * step)
         cols.append(col)
     return np.column_stack(cols)
 
 
-def derivative_bound_lipschitz(op, center, radius: float, n_samples: int,
+def derivative_bound_lipschitz(op: Operator, center, radius: float, n_samples: int,
                                seed: int = 0,
                                fd_step: float = FD_DEFAULT_STEP) -> LipschitzEstimate:
     """Max operator norm of the derivative over points sampled in a ball.
@@ -180,13 +184,13 @@ def derivative_bound_lipschitz(op, center, radius: float, n_samples: int,
     By the mean value theorem this bounds the Lipschitz constant on the ball;
     since the supremum is only sampled, the value certifies a lower bound on
     the true sup (exact for affine maps, whose derivative is constant). The
-    center is checked against ``op.space``, then sampled as plain arrays.
+    center is checked against ``op.space``, then sampled as flat values.
     """
     if not radius > 0:
         raise ValueError("ball radius must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    c = (getattr(op, "space", None) or Space.of(center)).values(center)
+    c = op.space.values(center)
     if isinstance(op, AffineOperator):
         return LipschitzEstimate(value=spectral_norm(op.A), method="derivative-bound",
                                  samples=1, is_upper_bound=True, seed=seed)

@@ -68,36 +68,30 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
     })
 
 
-def _read_free_term(entry, base_dir: str, shape: tuple) -> np.ndarray:
-    """The config entry for f as an array; null or a constant fills ``shape``."""
+def _resolve_free_term(entry, op, base_dir: str):
+    """Build the free term f in the operator's space from its config entry.
+
+    The entry is an inline list, a text-file path, ``{"blocks": matrix}`` or
+    ``{"constant": c}``; null means zero. It must be finite and lie in the
+    operator's space (vectors may be given as a column or a row).
+    """
+    shape = op.space.shape
     if entry is None or (isinstance(entry, dict) and "constant" in entry):
         if None in shape:
             raise ConfigError("f", "needs an explicit matrix, whose row count sets m")
-        return np.full(shape, 0.0 if entry is None else
-                       config_value({"f": entry["constant"]}, "f", "a number"))
-    if isinstance(entry, dict):
-        if "blocks" not in entry:
-            raise ConfigError("f", f"expected {{'constant': c}} or {{'blocks': M}}, got {entry!r}")
-        entry = entry["blocks"]
-    return _matrix_entry(entry, base_dir, "f")
-
-
-def _resolve_free_term(entry, op, base_dir: str):
-    """Build the free term f in the operator's domain from its config entry.
-
-    The entry is an inline list, a text-file path, ``{"blocks": matrix}`` or
-    ``{"constant": c}``; null means zero. It must be finite and have the
-    operator's ``space.shape`` (vectors may be given as a column or a row).
-    """
-    shape = op.space.shape
-    values = _read_free_term(entry, base_dir, shape)
-    if len(shape) == 1:
-        values = values.ravel()
-    if values.ndim != len(shape) or any(n not in (None, got)
-                                        for n, got in zip(shape, values.shape)):
-        want = " x ".join("m" if n is None else str(n) for n in shape)
-        raise ConfigError("f", f"expected shape {want}, got {values.shape}")
-    return op.space.wrap(values)
+        values = np.full(shape, 0.0 if entry is None else
+                         config_value({"f": entry["constant"]}, "f", "a number"))
+    else:
+        if isinstance(entry, dict):
+            if "blocks" not in entry:
+                raise ConfigError("f", f"expected {{'constant': c}} or {{'blocks': M}}, "
+                                       f"got {entry!r}")
+            entry = entry["blocks"]
+        values = _matrix_entry(entry, base_dir, "f")
+    try:
+        return op.space.wrap(values.ravel() if len(shape) == 1 else values)
+    except ValueError as exc:
+        raise ConfigError("f", str(exc)) from exc
 
 
 def _operator(cfg: dict, base_dir: str, expected_type=None):

@@ -52,8 +52,9 @@ def _finite_matrix(M, name: str, square: bool = False) -> np.ndarray:
 
 
 class Operator:
-    """An immutable map on its ``space``; a subclass sets ``space`` and defines
-    ``_map(values)``, which maps flat values and checks its own output."""
+    """An immutable map on its ``space``, and the one way to bring a custom map: a
+    subclass sets ``space`` and defines ``_map(values)``, which maps flat values of
+    ``space.flat_shape`` to a float array of that shape and checks it is finite."""
 
     def __call__(self, x):
         """T(x): flat values map to a plain array, a structured value to its own form."""
@@ -340,31 +341,20 @@ class GnnAggregateOperator(Operator):
         return out
 
 
-def apply(op, x):
-    """Evaluate an operator on a vector-like input or on its flat values.
-
-    The operators of this module check their own output; their
-    NonFiniteError is reported here as a DivergenceError, so the solver can
-    fail loudly when a map blows up. The output of any other callable is not
-    checked here; a non-finite one is caught later: in the Picard loop by its
-    norm guard (DivergenceError "iterate became non-finite at iteration k");
-    where it meets ``lincomb`` (``picard.residual``, ``calculus.fd_directional``
-    and ``calculus.lipschitz_sample``) by that check (NonFiniteError "linear
-    combination must be finite (no NaN/Inf)"); and in
-    ``calculus.derivative_bound_lipschitz`` by ``spectral_norm`` on the
-    Jacobian (ValueError "A must have finite entries").
-    """
+def apply(op: Operator, x):
+    """Evaluate an operator on a value of its space or on its flat values; the
+    NonFiniteError of the output check in its ``_map`` becomes a DivergenceError,
+    so a solver fails loudly when a map blows up."""
     try:
         return op(x)
     except NonFiniteError as exc:
         raise DivergenceError(str(exc)) from exc
 
 
-def norm_in(op, x, kind: str) -> float:
-    """The ``kind`` norm of ``x`` in ``op.space`` (a plain callable: in x's own
-    space), so that flat values are measured by the operator's blocks too."""
-    space = getattr(op, "space", None) or Space.of(x)
-    return space.norm(kind)(space.values(x))
+def norm_in(op: Operator, x, kind: str) -> float:
+    """The ``kind`` norm of ``x`` in ``op.space``, so that flat values are
+    measured by the operator's blocks too."""
+    return op.space.norm(kind)(op.space.values(x))
 
 
 def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:

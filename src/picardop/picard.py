@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError, config_value, integer
-from .operators import apply, norm_in
+from .operators import Operator, apply, norm_in
 # norm is unused here, but bench/tracing.py's WRAPS rebinds picard.norm by name
 from .spaces import NORM_KINDS, Space, lincomb, norm, zero_like  # noqa: F401
 
@@ -88,7 +88,7 @@ class IterationTrace:
     """Per-iteration history of a solve, and how it measured.
 
     ``space`` and ``norm_kind`` are those its steps were measured in: the
-    operator's space (a plain callable's: the start's) and the config's norm.
+    operator's space and the config's norm.
     ``iterates`` holds y_0 .. y_N when the solve was asked to record them
     (needed for error bounds against a reference solution).
     """
@@ -109,7 +109,7 @@ class IterationTrace:
 
     def distance(self, x, y) -> float:
         """||x - y|| in the norm of the steps, for x and y in either form."""
-        return self.norm(lincomb(1.0, self.space.values(x), -1.0, self.space.values(y)))
+        return self.norm(self.space.lincomb(1.0, x, -1.0, y))
 
     @property
     def step_norms(self) -> np.ndarray:
@@ -139,23 +139,21 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     recording = record_iterates
-    # f and x0 are read once in x0's space, which decides the form of the
-    # recorded iterates and the solution; x0 is checked against the operator's
-    # space, whose norm the steps are measured in. Every step, the first
-    # included, runs on flat float arrays.
+    # f and x0 are read once in x0's space, the form of the iterates; x0 is
+    # checked against op.space, the steps' norm. Every step runs on flat arrays.
     space = Space.of(x0)
     yv, fv = space.values(x0), space.values(f)
-    op_space = getattr(op, "space", space)
-    op_space.values(x0)
-    flat_norm = op_space.norm(norm_kind)
-    trace = IterationTrace([], False, op_space, norm_kind, [x0] if record_iterates else None)
+    op.space.values(x0)
+    flat_norm = op.space.norm(norm_kind)
+    trace = IterationTrace([], False, op.space, norm_kind, [x0] if record_iterates else None)
     steps, iterates = trace.steps, trace.iterates
     first_step = None
     for k in range(max_iter):
         try:
-            tv = np.asarray(apply(op, yv), dtype=float)
+            tv = apply(op, yv)
         except DivergenceError as exc:
             raise DivergenceError(f"{exc} (iteration {k})", trace) from exc
+        # a subclass's _map can return the wrong shape, which broadcasting would hide
         if tv.shape != yv.shape:
             raise ValueError(f"shape mismatch: {tv.shape} vs {yv.shape}")
         # in-place forms of lam * tv + fv and alpha * yv + (1 - alpha) * target:
@@ -193,7 +191,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
     return space.wrap(yv), trace
 
 
-def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,
+def picard_solve(op: Operator, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,
                  record_run: Optional[PicardConfig] = None):
     """Solve lambda*T(x) + f = x by iterating y_{k+1} = f + lambda*T(y_k) from y_0 = f.
 
@@ -204,9 +202,9 @@ def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = Fals
     ``record_iterates`` keeps the iterates in the trace; with ``record_run``, a
     shorter run's config, only that run's (through its first step <= its epsilon).
 
-    The start decides the form of the solution and the iterates (``f`` is a
-    value of its space, or flat values), and ``op.space`` the norm (a plain
-    callable's: the start's). The start is checked once against ``op.space``;
+    ``op`` is an ``Operator``. The start decides the form of the solution and
+    the iterates (``f`` is a value of its space, or flat values), and
+    ``op.space`` the norm. The start is checked once against ``op.space``;
     every step applies ``op`` to flat values and checks the output's shape.
 
     Returns (solution, trace); raises DivergenceError (carrying the partial
@@ -217,7 +215,7 @@ def picard_solve(op, cfg: PicardConfig, f, x0=None, record_iterates: bool = Fals
                     cfg.max_iter, cfg.norm_kind, record_iterates, record_run)
 
 
-def damped_solve(op, lambda_mix: float, x0, epsilon: float, max_iter: int,
+def damped_solve(op: Operator, lambda_mix: float, x0, epsilon: float, max_iter: int,
                  norm_kind: str = "discrete-L2", record_iterates: bool = False):
     """Iterate the damped update x_{i+1} = (1 - lambda_mix) T(x_i) + lambda_mix x_i.
 
@@ -230,7 +228,7 @@ def damped_solve(op, lambda_mix: float, x0, epsilon: float, max_iter: int,
                     norm_kind, record_iterates)
 
 
-def residual(op, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:
+def residual(op: Operator, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:
     """The defect ||lambda*T(x) + f - x||, measured in op's space."""
     shifted = lincomb(lam, apply(op, x), 1.0, f)
     return norm_in(op, lincomb(1.0, shifted, -1.0, x), norm_kind)
@@ -291,7 +289,7 @@ def banach_bounds(trace: IterationTrace, k: float, reference=None) -> list:
     return records
 
 
-def uniqueness_check(op, cfg: PicardConfig, f, seeds):
+def uniqueness_check(op: Operator, cfg: PicardConfig, f, seeds):
     """Run the iteration from two distinct starts and compare the limits.
 
     Returns (ok, distance): ok is True iff both runs converge and the final

@@ -20,7 +20,7 @@ from .errors import config_value, integer
 from .ioutil import write_text_atomic
 from .operators import GnnAggregateOperator, Graph, apply, neighborhood_membership_counts
 from .picard import IterationTrace, _iterate
-from .spaces import DirectSumVector, zero_like
+from .spaces import DirectSumVector, Space, zero_like
 
 REPORT_CSV_HEADER = "seed,mode,noise_p,pign_acc,baseline_acc,iters_used"
 
@@ -128,9 +128,10 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     with train-split statistics (constant coordinates are left unscaled) so
     both tiny and large embedding scales train on equal footing. Returns
     (weights, test_accuracy); the weight vector acts on standardized features
-    with an intercept as its last component. A label other than 0 or 1 is a
-    ValueError naming ``labels``; fewer than 3 nodes are a ValueError too, as
-    the split would leave the train or the test set empty.
+    with an intercept as its last component. ``embeddings`` is an (n, d)
+    matrix or n blocks of dim d, read through ``Space.of``; other shapes, a
+    label other than 0 or 1 (naming ``labels``) and fewer than 3 nodes, which
+    would leave the train or the test set empty, are ValueErrors.
 
     With 0/1 labels the clipped log-loss is non-finite exactly when a
     probability is NaN, as ``p = (1 + tanh(z/2)) / 2`` otherwise lies in
@@ -138,10 +139,10 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     for the ValueError ("non-finite logistic loss at epoch <k>: ...") that
     such an epoch raises.
     """
-    if isinstance(embeddings, DirectSumVector):
-        X = embeddings.stacked()
-    else:
-        X = np.asarray(embeddings, dtype=float)
+    space = Space.of(embeddings)
+    if len(space.shape) != 2:
+        raise ValueError(f"embeddings must be (n, d) or blocks of one dim, got {space.shape}")
+    X = space.values(embeddings).reshape(space.shape)
     y = np.asarray(labels)
     n = X.shape[0]
     if y.shape != (n,):

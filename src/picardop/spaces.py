@@ -2,8 +2,8 @@
 
 A ``Space`` is the one record of a value's structure: a shape, plus a grid or
 block dims. GridFunctions and DirectSumVectors hold their flat values and their
-space; ``Space.of(x)`` is any value's space. It checks and wraps values and owns
-the norms, so each helper here is ``Space.of(x)`` and one ``Space`` call.
+space; ``Space.of(x)`` is any value's space. It checks, wraps and combines values
+and owns the norms, so each helper here is ``Space.of(x)`` and ``Space`` calls.
 
 All values are immutable after construction and all operations are pure, so
 they can be shared freely across threads. Arithmetic is 64-bit floating point.
@@ -167,7 +167,8 @@ class DirectSumVector:
         dims = tuple(b.size for b in arrs)
         if block_dims is not None and tuple(block_dims) != dims:
             raise ValueError(f"block_dims {tuple(block_dims)} do not match actual dims {dims}")
-        self.space = Space((sum(dims),), block_dims=dims)
+        uniform = bool(dims) and dims.count(dims[0]) == len(dims)
+        self.space = Space((len(dims), dims[0]) if uniform else (sum(dims),), block_dims=dims)
         self.values = self.space._copy(np.concatenate(arrs))
 
     @property
@@ -217,7 +218,7 @@ class Space:
 
     A ``grid`` space holds GridFunctions on the grid, and a ``block_dims``
     space DirectSumVectors with blocks of those dims (``shape`` is (n, d) for
-    an operator's n blocks of dim d); both are handled as flat arrays of
+    n blocks of dim d, else the total dim); both are handled as flat arrays of
     ``flat_shape``. Any other space holds plain float arrays of ``shape``.
     ``Space.of(x)`` is the space of a value x; the space decides its norms.
     """
@@ -230,6 +231,9 @@ class Space:
         self.grid = grid
         self.block_dims = block_dims if block_dims is None else tuple(block_dims)
         self.flat_shape = shape if block_dims is None else (sum(block_dims),)
+        # values fit a free row count, (None, ...), by the dims after their first
+        self._free = self.flat_shape[:1] == (None,)
+        self._tail = self.flat_shape[self._free:]
 
     @staticmethod
     def of(x) -> "Space":
@@ -241,13 +245,12 @@ class Space:
     def values(self, x) -> np.ndarray:
         """The flat values of ``x`` (an array of ``flat_shape`` as it is); a
         ValueError unless x lies in the space. Plain spaces convert by np.asarray."""
-        if isinstance(x, np.ndarray) and x.shape == self.flat_shape:
+        if isinstance(x, np.ndarray) and x.shape[self._free:] == self._tail:
             return x
         if not isinstance(x, _STRUCTURED):
             if self.grid is None and self.block_dims is None:
                 x = np.asarray(x, dtype=float)
-                free = self.shape[:1] == (None,)
-                if x.shape[free:] == self.shape[free:]:
+                if x.shape[self._free:] == self._tail:
                     return x
         elif x.space.grid is not None and self.grid is not None:
             if not x.space.grid.matches(self.grid):
@@ -266,11 +269,11 @@ class Space:
         raise ValueError(f"expected an array of {want} flat values, got {got}")
 
     def wrap(self, values):
-        """Flat ``values`` in the space's form: a GridFunction or DirectSumVector of
-        this space holding a finite read-only copy; a plain space returns them as
-        a float array (the array itself when it is one)."""
+        """Flat ``values`` in the space's form, a ValueError unless they fit it: a
+        GridFunction or DirectSumVector holding a finite read-only copy, or for a
+        plain space a float array (the array itself when it is one)."""
         if self.grid is None and self.block_dims is None:
-            return np.asarray(values, dtype=float)
+            return self.values(np.asarray(values, dtype=float))
         out = object.__new__(DirectSumVector if self.grid is None else GridFunction)
         out.space, out.values = self, self._copy(values)
         return out
@@ -290,6 +293,16 @@ class Space:
         require_finite(values, "grid function values" if on_grid else "block values")
         values.setflags(write=False)
         return values
+
+    def lincomb(self, a: float, x, b: float, y) -> np.ndarray:
+        """The flat values of a*x + b*y for x and y in the space, in either form;
+        a ValueError unless they share a shape, a NonFiniteError unless finite."""
+        xv, yv = self.values(x), self.values(y)
+        if xv.shape != yv.shape:
+            raise ValueError(f"shape mismatch: {xv.shape} vs {yv.shape}")
+        out = a * xv + b * yv
+        require_finite(out, "linear combination")
+        return out
 
     def norm(self, kind: str):
         """The function ``values -> the kind norm`` of the space's flat values.
@@ -344,9 +357,7 @@ def direct_sum_norm(x: DirectSumVector) -> float:
 def lincomb(a: float, x, b: float, y):
     """Elementwise a*x + b*y in x's space, where y is a value of it or its flat values."""
     space = Space.of(x)
-    out = a * space.values(x) + b * space.values(y)
-    require_finite(out, "linear combination")
-    return space.wrap(out)
+    return space.wrap(space.lincomb(a, x, b, y))
 
 
 def zero_like(x):

@@ -11,7 +11,9 @@ from picardop import (
     Graph,
     GridFunction,
     HammersteinOperator,
+    Operator,
     PicardConfig,
+    Space,
     attention_frechet,
     derivative_bound_lipschitz,
     direct_sum_norm,
@@ -25,6 +27,13 @@ from picardop import (
     rescale_to_contraction,
     spectral_norm,
 )
+
+
+class UserMap(Operator):
+    """A user's map ``fn`` on the flat values of ``space``; its output goes unchecked."""
+
+    def __init__(self, space, fn):
+        self.space, self._map = space, fn
 
 
 def random_attention(rng, d):
@@ -60,6 +69,9 @@ class TestAttentionFrechet:
         op = AttentionOperator(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             attention_frechet(op, np.ones((3, 2)), np.ones((4, 2)))
+        # a (1, 2) direction would broadcast against the (3, 2) point if unchecked
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 2\) vs \(1, 2\)$"):
+            fd_directional(op, np.ones((3, 2)), np.ones((1, 2)))
 
 
 class TestFdDirectional:
@@ -163,7 +175,7 @@ class TestLipschitzSample:
         assert est.value >= 0.99 * sigma
 
     def test_relu_is_one_lipschitz(self):
-        est = lipschitz_sample(lambda x: np.maximum(x, 0.0),
+        est = lipschitz_sample(UserMap(Space((5,)), lambda x: np.maximum(x, 0.0)),
                                lambda rng: rng.standard_normal(5), 500, seed=3)
         assert est.value <= 1.0 + 1e-12
 
@@ -231,10 +243,10 @@ class TestDerivativeBound:
             derivative_bound_lipschitz(op, center, radius=1.0, n_samples=2)
 
     def test_non_finite_plain_callable_output(self):
-        # apply does not check a plain callable's output; spectral_norm refuses the Jacobian
+        # a _map that does not check its own output: spectral_norm refuses the Jacobian
+        op = UserMap(Space((2,)), lambda x: x + np.array([0.0, np.nan]))
         with pytest.raises(ValueError, match="^A must have finite entries$"):
-            derivative_bound_lipschitz(lambda x: x + np.array([0.0, np.nan]), np.zeros(2),
-                                       radius=1.0, n_samples=1)
+            derivative_bound_lipschitz(op, np.zeros(2), radius=1.0, n_samples=1)
 
     def test_mean_value_bound_on_attention(self):
         rng = np.random.default_rng(71)

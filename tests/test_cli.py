@@ -100,8 +100,10 @@ class TestSolveCommand:
         ("gnn", [[0.1, float("nan")], [0.0, 0.0]]),
         ("gnn", {"blocks": [[0.1, 0.2]]}),
         ("attention", None),
+        ("attention", [[0.1, 0.2]]),
     ], ids=["constant-not-numeric", "affine-nan", "missing-file", "wrong-length",
-            "unknown-key", "gnn-nan", "blocks-wrong-shape", "attention-without-f"])
+            "unknown-key", "gnn-nan", "blocks-wrong-shape", "attention-without-f",
+            "attention-wrong-columns"])
     def test_bad_free_term_names_f(self, tmp_path, capsys, op_type, f):
         operator = {
             "affine": {"type": "affine", "A": [[0.4, 0.1], [0.0, 0.5]]},

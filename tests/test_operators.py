@@ -11,16 +11,24 @@ from picardop import (
     Graph,
     GridFunction,
     HammersteinOperator,
+    Operator,
     PicardConfig,
+    Space,
     apply,
+    damped_solve,
+    derivative_bound_lipschitz,
     graph_from_edgelist,
     grid_uniform,
+    lipschitz_sample,
     make_kernel,
     neighborhood_membership_counts,
     operator_from_config,
+    picard_solve,
+    residual,
 )
 from picardop import picard
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
+from picardop.spaces import require_finite
 
 
 class TestAffine:
@@ -506,13 +514,31 @@ class TestApply:
         with pytest.raises(DivergenceError):
             apply(op, np.array([1e10]))
 
-    def test_works_with_plain_callables(self):
-        assert np.array_equal(apply(lambda x: 2 * x, np.array([1.0, 2.0])), [2.0, 4.0])
+    def test_user_subclass_with_only_space_and_map_works_everywhere(self):
+        class HalfTanh(Operator):
+            def __init__(self, grid):
+                self.space = Space((grid.n,), grid=grid)
 
-    def test_plain_callable_output_is_not_checked(self):
-        # only the operators of picardop.operators check their own output
-        out = apply(lambda x: x + np.array([np.inf, np.nan]), np.array([1.0, 0.0]))
-        assert np.isinf(out[0]) and np.isnan(out[1])
+            def _map(self, values):
+                out = 0.5 * np.tanh(values)
+                require_finite(out, "grid function values")
+                return out
+
+        grid = grid_uniform(0, 1, 4)
+        op = HalfTanh(grid)
+        f = GridFunction(grid, [0.1, 0.2, 0.3, 0.4])
+        sol, trace = picard_solve(op, PicardConfig(lam=1.0, epsilon=1e-13, max_iter=200), f)
+        assert isinstance(sol, GridFunction) and sol.grid is grid and trace.converged
+        assert residual(op, 1.0, f, sol) <= 1e-12
+        # y = 0.5 tanh(y) has the one fixed point 0
+        fixed, damped = damped_solve(op, 0.5, f, 1e-13, 200)
+        assert isinstance(fixed, GridFunction) and damped.converged
+        assert np.abs(fixed.values).max() <= 1e-12
+        sample = lipschitz_sample(op, lambda rng: GridFunction(grid, rng.standard_normal(4)), 50)
+        bound = derivative_bound_lipschitz(op, f, radius=1.0, n_samples=5)
+        assert 0.0 < sample.value <= 0.5 and 0.0 < bound.value <= 0.5 + 1e-8
+        with pytest.raises(DivergenceError, match="grid function values must be finite"):
+            apply(op, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 class TestOperatorConfig:

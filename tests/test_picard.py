@@ -14,7 +14,9 @@ from picardop import (
     Graph,
     GridFunction,
     HammersteinOperator,
+    Operator,
     PicardConfig,
+    Space,
     banach_bounds,
     damped_solve,
     grid_uniform,
@@ -35,6 +37,13 @@ from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 from picardop.operators import neighborhood_membership_counts, norm_in
 from picardop.picard import TRACE_CSV_HEADER
 from picardop.spaces import NORM_KINDS, flatten_values, unflatten_like
+
+
+class UserMap(Operator):
+    """A user's map ``fn`` on the flat values of ``space``; its output goes unchecked."""
+
+    def __init__(self, space, fn):
+        self.space, self._map = space, fn
 
 
 def contraction(rng, d, sigma):
@@ -255,10 +264,11 @@ class TestFlatArrayLoop:
         assert err.value.trace.iterations_used == 0
 
     def test_non_finite_plain_callable_is_caught_by_the_guard(self):
-        # apply checks only picardop's operators; the loop's norm guard checks the rest
+        # a _map that does not check its own output is caught by the loop's norm guard
         cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
+        op = UserMap(Space((2,)), lambda x: x + np.array([0.0, np.nan]))
         with pytest.raises(DivergenceError) as err:
-            picard_solve(lambda x: x + np.array([0.0, np.nan]), cfg, np.ones(2))
+            picard_solve(op, cfg, np.ones(2))
         assert str(err.value) == "iterate became non-finite at iteration 0"
 
     @pytest.mark.parametrize("wrong_from_call", [1, 2])
@@ -266,13 +276,13 @@ class TestFlatArrayLoop:
         # a (1,) output would broadcast against the (3,) iterate if it went unchecked
         calls = []
 
-        def op(x):
+        def fn(x):
             calls.append(x)
             return 0.5 * x[:1] if len(calls) >= wrong_from_call else 0.5 * x
 
         cfg = PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50)
         with pytest.raises(ValueError, match=r"shape mismatch: \(1,\) vs \(3,\)"):
-            picard_solve(op, cfg, np.ones(3))
+            picard_solve(UserMap(Space((3,)), fn), cfg, np.ones(3))
         assert len(calls) == wrong_from_call
 
     @pytest.mark.parametrize("solver", ["picard", "damped"])
@@ -315,11 +325,12 @@ class TestFlatArrayLoop:
         grid = grid_uniform(0, 1, 5)
         seen = []
 
-        def op(y):
+        def fn(y):
             seen.append(type(y))
             return 0.5 * y
 
         cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
+        op = UserMap(Space((5,), grid=grid), fn)
         sol, trace = picard_solve(op, cfg, GridFunction(grid, np.ones(5)))
         assert trace.converged and isinstance(sol, GridFunction)
         assert len(seen) == trace.iterations_used and set(seen) == {np.ndarray}
@@ -353,9 +364,10 @@ class TestResidual:
         assert residual(op, 1.0, np.zeros(1), np.array([1.0])) == 0.0
 
     def test_non_finite_plain_callable_output(self):
-        # apply does not check a plain callable's output; lincomb does
+        # a _map that does not check its own output is caught by lincomb
+        op = UserMap(Space((2,)), lambda x: x + np.array([0.0, np.nan]))
         with pytest.raises(NonFiniteError) as err:
-            residual(lambda x: x + np.array([0.0, np.nan]), 1.0, np.ones(2), np.ones(2))
+            residual(op, 1.0, np.ones(2), np.ones(2))
         assert str(err.value) == "linear combination must be finite (no NaN/Inf)"
 
 

@@ -237,11 +237,20 @@ class TestLogisticReadout:
         assert acc == expected
 
     def test_accepts_direct_sum_embeddings(self):
+        # blocks of one dim read as the same (n, d) matrix from either constructor
         rng = np.random.default_rng(22)
-        X = DirectSumVector.from_matrix(rng.standard_normal((20, 3)))
+        M = rng.standard_normal((20, 3))
         y = np.repeat([0, 1], 10)
-        _, acc = train_logistic_readout(X, y, split_seed=3, lr=0.5, epochs=50)
+        (w, acc), *rest = (train_logistic_readout(X, y, split_seed=3, lr=0.5, epochs=50)
+                           for X in (M, DirectSumVector.from_matrix(M), DirectSumVector(list(M))))
         assert 0.0 <= acc <= 1.0
+        assert all(a == acc and np.array_equal(v, w) for v, a in rest)
+
+    def test_mixed_block_dims_are_refused(self):
+        X = DirectSumVector([[1.0], [1.0, 2.0], [3.0]])
+        with pytest.raises(ValueError, match=r"^embeddings must be \(n, d\) or blocks of one dim, "
+                                             r"got \(4,\)$"):
+            train_logistic_readout(X, np.array([0, 1, 0]))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_label_outside_zero_one_is_refused(self, bad):

@@ -186,6 +186,28 @@ class TestDirectSum:
         with pytest.raises(ValueError):
             DirectSumVector([[1.0], [1.0, 2.0]]).stacked()
 
+    def test_uniform_blocks_have_the_matrix_shape_from_both_constructors(self):
+        M = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert DirectSumVector(M).space.shape == (3, 2)
+        assert DirectSumVector.from_matrix(M).space.shape == (3, 2)
+        assert DirectSumVector([[1.0], [1.0, 2.0]]).space.shape == (3,)
+
+
+class TestSpace:
+    @pytest.mark.parametrize("shape, values, message", [
+        ((3,), np.ones(4), r"3 flat values, got \(4,\)"),
+        ((3,), np.ones((3, 1)), r"3 flat values, got \(3, 1\)"),
+        ((None, 2), np.ones((4, 3)), r"m x 2 flat values, got \(4, 3\)"),
+        ((None, 2), np.ones(2), r"m x 2 flat values, got \(2,\)"),
+    ])
+    def test_plain_wrap_checks_the_shape(self, shape, values, message):
+        with pytest.raises(ValueError, match="^expected an array of " + message):
+            Space(shape).wrap(values)
+
+    def test_plain_wrap_gives_a_float_array_with_any_free_row_count(self):
+        out = Space((None, 2)).wrap([[1, 2], [3, 4], [5, 6]])
+        assert out.dtype == np.float64 and out.tolist() == [[1, 2], [3, 4], [5, 6]]
+
 
 BLOCK_DIMS = st.one_of(
     st.lists(st.integers(0, 5), min_size=1, max_size=8),
