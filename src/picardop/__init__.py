@@ -59,7 +59,6 @@ from .calculus import (
     frechet_check,
     spectral_norm,
     lipschitz_sample,
-    derivative_bound_lipschitz,
     gnn_lipschitz_report,
     rescale_to_contraction,
 )

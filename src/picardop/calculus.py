@@ -1,20 +1,19 @@
 """Operator differentiation and Lipschitz-constant machinery.
 
 Provides the analytic derivative of the cubic attention map, central
-finite-difference oracles, exact (SVD) spectral norms, and the
-neighborhood-counting contraction certificate for graph aggregation.
+finite-difference oracles, exact (SVD) spectral norms, a pair-sampled
+Lipschitz lower bound, and the neighborhood-counting contraction certificate
+for graph aggregation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .operators import (
-    AffineOperator,
     AttentionOperator,
     GnnAggregateOperator,
     Operator,
@@ -24,23 +23,19 @@ from .operators import (
 )
 from .spaces import lincomb, norm  # noqa: F401  (norm: bench/tracing.py's WRAPS rebinds it)
 
-FD_JACOBIAN_DIM_LIMIT = 64
 FD_DEFAULT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class LipschitzEstimate:
-    """An estimated (or exact) Lipschitz constant and how it was obtained.
+    """A Lipschitz constant sampled over pairs: a lower bound, not a proven one.
 
-    Pair-sampling certifies only a lower bound; the spectral norm of a linear
-    map is exact, hence also an upper bound.
+    ``samples`` counts the non-degenerate pairs behind ``value``.
     """
 
     value: float
-    method: str
     samples: int
-    is_upper_bound: bool
-    seed: Optional[int] = None
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -147,66 +142,7 @@ def lipschitz_sample(op: Operator, sampler, n_pairs: int, seed: int = 0,
         used += 1
     if used == 0:
         raise ValueError("all sampled pairs were degenerate (||x - y|| < 1e-12)")
-    return LipschitzEstimate(value=float(best), method="pair-sampling",
-                             samples=used, is_upper_bound=False, seed=seed)
-
-
-def _jacobian(op, u: np.ndarray, step: float) -> np.ndarray:
-    """Jacobian at the flat values u, one column per unit direction.
-
-    Attention columns are analytic derivatives; any other operator gets
-    central differences with the given step, each point a plain array of u's
-    shape.
-    """
-    flat = u.ravel()
-    dim = flat.size
-    if dim > FD_JACOBIAN_DIM_LIMIT:
-        raise ValueError(f"Jacobian refused above {FD_JACOBIAN_DIM_LIMIT} dimensions "
-                         f"(got {dim})")
-    cols = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        if isinstance(op, AttentionOperator):
-            col = attention_frechet(op, u, e.reshape(u.shape)).ravel()
-        else:
-            plus, minus = (flat + step * e).reshape(u.shape), (flat - step * e).reshape(u.shape)
-            col = (apply(op, plus) - apply(op, minus)).ravel() / (2 * step)
-        cols.append(col)
-    return np.column_stack(cols)
-
-
-def derivative_bound_lipschitz(op: Operator, center, radius: float, n_samples: int,
-                               seed: int = 0,
-                               fd_step: float = FD_DEFAULT_STEP) -> LipschitzEstimate:
-    """Max operator norm of the derivative over points sampled in a ball.
-
-    By the mean value theorem this bounds the Lipschitz constant on the ball;
-    since the supremum is only sampled, the value certifies a lower bound on
-    the true sup (exact for affine maps, whose derivative is constant). The
-    center is checked against ``op.space``, then sampled as flat values.
-    """
-    if not radius > 0:
-        raise ValueError("ball radius must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    c = op.space.values(center)
-    if isinstance(op, AffineOperator):
-        return LipschitzEstimate(value=spectral_norm(op.A), method="derivative-bound",
-                                 samples=1, is_upper_bound=True, seed=seed)
-    rng = np.random.default_rng(seed)
-    dim = c.size
-    best = 0.0
-    for _ in range(n_samples):
-        direction = rng.standard_normal(dim)
-        dn = np.linalg.norm(direction)
-        if dn == 0:
-            continue
-        r = radius * rng.random() ** (1.0 / dim)
-        u = (c.ravel() + r * direction / dn).reshape(c.shape)
-        best = max(best, spectral_norm(_jacobian(op, u, fd_step)))
-    return LipschitzEstimate(value=float(best), method="derivative-bound",
-                             samples=n_samples, is_upper_bound=False, seed=seed)
+    return LipschitzEstimate(value=float(best), samples=used, seed=seed)
 
 
 def gnn_lipschitz_report(op: GnnAggregateOperator) -> GnnLipschitzReport:

@@ -11,11 +11,11 @@ from picardop import (
     Graph,
     GridFunction,
     HammersteinOperator,
+    NonFiniteError,
     Operator,
     PicardConfig,
     Space,
     attention_frechet,
-    derivative_bound_lipschitz,
     direct_sum_norm,
     fd_directional,
     frechet_check,
@@ -160,8 +160,6 @@ class TestLipschitzSample:
         op = AffineOperator(-2.5 * np.eye(4))
         est = lipschitz_sample(op, lambda rng: rng.standard_normal(4), 100, seed=1)
         assert est.value == pytest.approx(2.5, abs=1e-12)
-        assert not est.is_upper_bound
-        assert est.method == "pair-sampling"
 
     def test_affine_bounded_by_spectral_norm(self):
         rng = np.random.default_rng(69)
@@ -184,53 +182,37 @@ class TestLipschitzSample:
         with pytest.raises(ValueError):
             lipschitz_sample(op, lambda rng: np.zeros(2), 10, seed=4)
 
-
-class TestDerivativeBound:
-    def test_affine_is_exact(self):
-        rng = np.random.default_rng(70)
-        A = rng.standard_normal((5, 5))
-        op = AffineOperator(A, rng.standard_normal(5))
-        est = derivative_bound_lipschitz(op, np.zeros(5), radius=2.0, n_samples=3)
-        assert est.value == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-8)
-        assert est.is_upper_bound
-
-    def test_scalar_cubic_sup_of_derivative(self):
-        # T(y) = y^3 on |y| <= 1 has derivative 3 y^2 with sup 3
-        op = AttentionOperator([[1.0]], [[1.0]], [[1.0]])
-        est = derivative_bound_lipschitz(op, np.zeros((1, 1)), radius=1.0,
-                                         n_samples=2000, seed=6)
-        assert 2.9 <= est.value <= 3.0 + 1e-9
-
     def test_zero_operator(self):
         op = AffineOperator(np.zeros((3, 3)))
-        est = derivative_bound_lipschitz(op, np.zeros(3), radius=1.0, n_samples=5)
+        est = lipschitz_sample(op, lambda rng: rng.standard_normal(3), 5)
         assert est.value == 0.0
 
-    def test_fd_jacobian_dimension_cap(self):
-        g = grid_uniform(0, 1, 65)
-        op = HammersteinOperator(g, make_kernel("bounded-nonlinear"))
-        center = GridFunction(g, np.zeros(65))
-        with pytest.raises(ValueError):
-            derivative_bound_lipschitz(op, center, radius=1.0, n_samples=2)
+    def test_scalar_cubic_secant_approaches_three(self):
+        # T(y) = y^3 on |y| <= 1: the secant slope x^2 + xy + y^2 has sup 3, near (1, 1)
+        op = AttentionOperator([[1.0]], [[1.0]], [[1.0]])
+        est = lipschitz_sample(op, lambda rng: rng.uniform(-1.0, 1.0, (1, 1)), 2000, seed=6,
+                               extra_pairs=[(np.full((1, 1), 0.999), np.ones((1, 1)))])
+        assert 2.9 <= est.value <= 3.0
 
-    def test_fd_jacobian_path_matches_linear_theory(self):
-        # linear integral operator: derivative norm equals the operator norm
+    def test_linear_hammerstein_reaches_the_operator_norm(self):
+        # a linear integral operator: the secant along the top right singular vector
+        # of K diag(w) reads its spectral norm
         g = grid_uniform(0, 1, 21)
         op = HammersteinOperator(g, make_kernel("separable-linear", [0, 0, 0, 1]))
         B = op._K * g.weights[None, :]
-        est = derivative_bound_lipschitz(op, GridFunction(g, np.zeros(21)),
-                                         radius=1.0, n_samples=3, seed=7)
-        assert est.value == pytest.approx(spectral_norm(B), rel=1e-6)
+        v1 = np.linalg.svd(B)[2][0]
+        est = lipschitz_sample(op, lambda rng: GridFunction(g, rng.standard_normal(21)), 20,
+                               seed=7, extra_pairs=[(np.zeros(21), v1)])
+        assert est.value == pytest.approx(spectral_norm(B), rel=1e-12)
 
     @pytest.mark.parametrize("case, message", [
         ("other-grid-same-n", "input must be a GridFunction on the operator's grid"),
         ("mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
         ("affine-wrong-length", r"expected an array of 3 flat values, got \(5,\)"),
     ])
-    def test_center_outside_the_domain_is_refused(self, case, message):
-        # the center is checked against the operator's space before any sample, the
-        # exact affine shortcut included
-        op, center = {
+    def test_point_outside_the_domain_is_refused(self, case, message):
+        # distances are measured in the operator's space, which checks each point
+        op, point = {
             "other-grid-same-n": lambda: (
                 HammersteinOperator(grid_uniform(0, 1, 11), make_kernel("bounded-nonlinear")),
                 GridFunction(grid_uniform(0, 2, 11), np.zeros(11))),
@@ -240,29 +222,13 @@ class TestDerivativeBound:
             "affine-wrong-length": lambda: (AffineOperator(0.5 * np.eye(3)), np.zeros(5)),
         }[case]()
         with pytest.raises(ValueError, match=message):
-            derivative_bound_lipschitz(op, center, radius=1.0, n_samples=2)
+            lipschitz_sample(op, lambda rng: point, 2)
 
-    def test_non_finite_plain_callable_output(self):
-        # a _map that does not check its own output: spectral_norm refuses the Jacobian
+    def test_non_finite_user_map_output(self):
+        # a _map that does not check its own output: the secant's difference refuses it
         op = UserMap(Space((2,)), lambda x: x + np.array([0.0, np.nan]))
-        with pytest.raises(ValueError, match="^A must have finite entries$"):
-            derivative_bound_lipschitz(op, np.zeros(2), radius=1.0, n_samples=1)
-
-    def test_mean_value_bound_on_attention(self):
-        rng = np.random.default_rng(71)
-        op = random_attention(rng, 2)
-        center = np.zeros((2, 2))
-        est = derivative_bound_lipschitz(op, center, radius=1.0, n_samples=400, seed=8)
-        for _ in range(200):
-            u = rng.standard_normal(4)
-            v = rng.standard_normal(4)
-            u *= rng.uniform(0, 1.0) / np.linalg.norm(u)
-            v *= rng.uniform(0, 1.0) / np.linalg.norm(v)
-            U, V = u.reshape(2, 2), v.reshape(2, 2)
-            gap = np.linalg.norm(U - V)
-            if gap < 1e-12:
-                continue
-            assert np.linalg.norm(op(U) - op(V)) <= est.value * gap * (1 + 1e-6)
+        with pytest.raises(NonFiniteError, match="linear combination must be finite"):
+            lipschitz_sample(op, lambda rng: rng.standard_normal(2), 1)
 
 
 class TestGnnReport:

@@ -16,7 +16,6 @@ from picardop import (
     Space,
     apply,
     damped_solve,
-    derivative_bound_lipschitz,
     graph_from_edgelist,
     grid_uniform,
     lipschitz_sample,
@@ -535,8 +534,7 @@ class TestApply:
         assert isinstance(fixed, GridFunction) and damped.converged
         assert np.abs(fixed.values).max() <= 1e-12
         sample = lipschitz_sample(op, lambda rng: GridFunction(grid, rng.standard_normal(4)), 50)
-        bound = derivative_bound_lipschitz(op, f, radius=1.0, n_samples=5)
-        assert 0.0 < sample.value <= 0.5 and 0.0 < bound.value <= 0.5 + 1e-8
+        assert 0.0 < sample.value <= 0.5
         with pytest.raises(DivergenceError, match="grid function values must be finite"):
             apply(op, np.array([np.nan, 0.0, 0.0, 0.0]))
 
