@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError, NonFiniteError
 from .operators import (
     AttentionOperator,
     GnnAggregateOperator,
@@ -20,8 +21,10 @@ from .operators import (
     apply,
     neighborhood_membership_counts,
     norm_in,
+    require_operator,
 )
-from .spaces import lincomb, norm  # noqa: F401  (norm: bench/tracing.py's WRAPS rebinds it)
+# norm is unused here, but bench/tracing.py's WRAPS rebinds calculus.norm by name
+from .spaces import Space, lincomb, norm  # noqa: F401
 
 FD_DEFAULT_STEP = 1e-5
 
@@ -40,11 +43,12 @@ class LipschitzEstimate:
 
 @dataclass(frozen=True)
 class FrechetDirectionalResult:
-    """Analytic vs finite-difference directional derivative at one point."""
+    """Analytic vs finite-difference directional derivative at one point, or at
+    each point of a stack: ``rel_error`` is then an (S,) array."""
 
     analytic: np.ndarray
     finite_difference: np.ndarray
-    rel_error: float
+    rel_error: float | np.ndarray
     step: float
 
 
@@ -67,23 +71,36 @@ class GnnLipschitzReport:
         return self.product < 1.0
 
 
+def _attention_points(op: AttentionOperator, Y, H):
+    """Y and H as float arrays of one shape: an m x d point of ``op.space``, or an
+    S x m x d stack of such points; a ValueError otherwise."""
+    Y, H = np.asarray(Y, dtype=float), np.asarray(H, dtype=float)
+    if Y.ndim not in (2, 3) or Y.shape[-1] != op.d:
+        raise ValueError(f"expected an m x {op.d} matrix or an S x m x {op.d} stack, "
+                         f"got shape {Y.shape}")
+    if Y.shape != H.shape:
+        raise ValueError(f"Y and H must share a shape, got {Y.shape} vs {H.shape}")
+    return Y, H
+
+
 def attention_frechet(op: AttentionOperator, Y, H) -> np.ndarray:
     """Derivative of the cubic attention map at Y in direction H.
 
     The map is a product of three terms linear in Y, so the derivative is the
-    sum of the three single-substitution terms; it is linear in H.
+    sum of the three single-substitution terms; it is linear in H. Y and H may
+    be S x m x d stacks, whose points are differentiated in one pass.
     """
-    Y, H = op.space.values(Y), op.space.values(H)
-    if Y.shape != H.shape:
-        raise ValueError(f"Y and H must share a shape, got {Y.shape} vs {H.shape}")
+    Y, H = _attention_points(op, Y, H)
     Q, K, V = Y @ op.Wq, Y @ op.Wk, Y @ op.Wv
     Qh, Kh, Vh = H @ op.Wq, H @ op.Wk, H @ op.Wv
-    return (Qh @ K.T) @ V + (Q @ Kh.T) @ V + (Q @ K.T) @ Vh
+    return ((Qh @ K.swapaxes(-1, -2)) @ V + (Q @ Kh.swapaxes(-1, -2)) @ V
+            + (Q @ K.swapaxes(-1, -2)) @ Vh)
 
 
 def fd_directional(op: Operator, y, h, t: float = FD_DEFAULT_STEP):
     """Central-difference directional derivative (T(y + t h) - T(y - t h)) / (2 t),
     combined in ``op.space`` and returned in y's form."""
+    require_operator(op)
     if t == 0:
         raise ValueError("step t must be nonzero")
     space = op.space
@@ -96,12 +113,32 @@ def fd_directional(op: Operator, y, h, t: float = FD_DEFAULT_STEP):
 
 def frechet_check(op: AttentionOperator, Y, H,
                   t: float = FD_DEFAULT_STEP) -> FrechetDirectionalResult:
-    """Compare the analytic attention derivative with the central difference, in L2."""
+    """Compare the analytic attention derivative with the central difference, in L2.
+
+    Y and H are one m x d pair or S x m x d stacks of S pairs. A stack runs the
+    map, its derivative and the difference once over all its points; each point
+    gets the same operations, and so the same bytes, as a pair on its own. The
+    relative error is taken per point with ``np.vdot``, so ``rel_error`` is a
+    float for a pair and an (S,) array for a stack. A non-finite map output is
+    a DivergenceError, as in ``apply``.
+    """
+    require_operator(op)
     analytic = attention_frechet(op, Y, H)
-    fd = fd_directional(op, Y, H, t)
-    l2 = op.space.norm("discrete-L2")
-    rel = l2(op.space.lincomb(1.0, analytic, -1.0, fd)) / max(l2(analytic), 1e-14)
-    return FrechetDirectionalResult(analytic, fd, rel, t)
+    if t == 0:
+        raise ValueError("step t must be nonzero")
+    space = Space(analytic.shape)  # a stack is combined as one plain array
+    shifted = space.lincomb(1.0, Y, t, H), space.lincomb(1.0, Y, -t, H)
+    try:
+        plus, minus = (op._map(X) for X in shifted)
+    except NonFiniteError as exc:
+        raise DivergenceError(str(exc)) from exc
+    fd = space.lincomb(1.0 / (2 * t), plus, -1.0 / (2 * t), minus)
+    gap = space.lincomb(1.0, analytic, -1.0, fd)
+    l2 = space.norm("discrete-L2")
+    per_point = (-1,) + analytic.shape[-2:]
+    rel = np.array([l2(e) / max(l2(a), 1e-14)
+                    for e, a in zip(gap.reshape(per_point), analytic.reshape(per_point))])
+    return FrechetDirectionalResult(analytic, fd, rel if analytic.ndim == 3 else float(rel[0]), t)
 
 
 def spectral_norm(A) -> float:
@@ -127,6 +164,7 @@ def lipschitz_sample(op: Operator, sampler, n_pairs: int, seed: int = 0,
     are measured in the operator's space. The result is a lower bound on the
     true constant.
     """
+    require_operator(op)
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     rng = np.random.default_rng(seed)

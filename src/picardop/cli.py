@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -60,12 +61,10 @@ def _load_config(path) -> dict:
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, seed: int) -> None:
-    write_json_atomic(out_dir / "manifest.json", {
-        "command": command,
-        "config": cfg,
-        "seed": seed,
-        "version": __version__,
-    })
+    """One line of sorted-key JSON: with no indent, ``json`` runs its C encoder
+    on a config that can hold large matrices."""
+    manifest = {"command": command, "config": cfg, "seed": seed, "version": __version__}
+    write_text_atomic(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def _resolve_free_term(entry, op, base_dir: str):
@@ -203,19 +202,22 @@ def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     t = config_value(cfg, "check.t", "a positive number", lambda v: v > 0, default=1e-5)
     t_order = config_value(cfg, "check.order_t", "a positive number", lambda v: v > 0,
                            default=1e-3)
+    # every sample is drawn first, in the order of a per-sample loop, and each
+    # check then runs once over the (n_samples, rows, d) stacks
     rng = np.random.default_rng(seed)
-    max_rel = 0.0
-    errors_t, errors_half = [], []
+    samples = []
     for _ in range(n_samples):
         Y = rng.standard_normal((rows, op.d))
         H = rng.standard_normal((rows, op.d))
         Y *= rng.uniform(0.5, 1.0) / np.linalg.norm(Y)
         H *= rng.uniform(0.5, 1.0) / np.linalg.norm(H)
-        max_rel = max(max_rel, frechet_check(op, Y, H, t=t).rel_error)
-        e1 = frechet_check(op, Y, H, t=t_order)
-        e2 = frechet_check(op, Y, H, t=t_order / 2)
-        errors_t.append(np.linalg.norm(e1.analytic - e1.finite_difference))
-        errors_half.append(np.linalg.norm(e2.analytic - e2.finite_difference))
+        samples.append((Y, H))
+    Y, H = (np.stack(points) for points in zip(*samples))
+    max_rel = float(frechet_check(op, Y, H, t=t).rel_error.max())
+    e1 = frechet_check(op, Y, H, t=t_order)
+    e2 = frechet_check(op, Y, H, t=t_order / 2)
+    errors_t = [np.linalg.norm(e) for e in e1.analytic - e1.finite_difference]
+    errors_half = [np.linalg.norm(e) for e in e2.analytic - e2.finite_difference]
     ratio = float(max(errors_t) / max(max(errors_half), 1e-300))
     report = {
         "n_samples": n_samples,
@@ -337,7 +339,9 @@ def _run(command: str, cfg: dict, out_dir: Path, seed: int, base_dir: str):
     return code, status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every ``main``."""
     epilog = "commands:\n" + "\n".join(
         f"  {name:14s} {fn.__doc__.splitlines()[0]}" for name, fn in COMMANDS.items())
     parser = argparse.ArgumentParser(

@@ -63,6 +63,14 @@ class Operator:
         return out if values is x else self.space.wrap(out)
 
 
+def require_operator(op) -> None:
+    """A TypeError unless ``op`` is an ``Operator``; each public entry that takes
+    an operator calls this once, before its work."""
+    if not isinstance(op, Operator):
+        raise TypeError(f"expected an Operator, got {type(op).__name__}: a custom map "
+                        "must subclass picardop.Operator, setting space and defining _map")
+
+
 class AffineOperator(Operator):
     """x -> A x + b; its exact Lipschitz constant is the spectral norm of A."""
 
@@ -92,7 +100,8 @@ class AffineOperator(Operator):
 class AttentionOperator(Operator):
     """Softmax-free self-attention Y -> (Y Wq)(Y Wk)^T (Y Wv); cubic in Y.
 
-    Y is an m x d matrix of m tokens; the weight matrices are d x d.
+    Y is an m x d matrix of m tokens; the weight matrices are d x d. ``_map``
+    also takes an (S, m, d) stack of such matrices and maps each in one pass.
     """
 
     def __init__(self, Wq, Wk, Wv):
@@ -111,7 +120,7 @@ class AttentionOperator(Operator):
         Q = Y @ self.Wq
         K = Y @ self.Wk
         V = Y @ self.Wv
-        out = (Q @ K.T) @ V
+        out = (Q @ K.swapaxes(-1, -2)) @ V
         if not all_finite(out):
             raise NonFiniteError(NON_FINITE_OUTPUT)
         return out

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError, config_value, integer
-from .operators import Operator, apply, norm_in
+from .operators import Operator, apply, norm_in, require_operator
 # norm is unused here, but bench/tracing.py's WRAPS rebinds picard.norm by name
 from .spaces import NORM_KINDS, Space, lincomb, norm, zero_like  # noqa: F401
 
@@ -210,6 +210,7 @@ def picard_solve(op: Operator, cfg: PicardConfig, f, x0=None, record_iterates: b
     Returns (solution, trace); raises DivergenceError (carrying the partial
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.
     """
+    require_operator(op)
     start = f if x0 is None else x0
     return _iterate(op, cfg.lam, f, cfg.smoothing, start, cfg.epsilon,
                     cfg.max_iter, cfg.norm_kind, record_iterates, record_run)
@@ -222,6 +223,7 @@ def damped_solve(op: Operator, lambda_mix: float, x0, epsilon: float, max_iter: 
     Same engine as picard_solve with f = 0, lambda = 1, alpha = lambda_mix;
     the fixed points are those of T itself.
     """
+    require_operator(op)
     if not 0.0 <= lambda_mix <= 1.0:
         raise ValueError("lambda_mix must lie in [0, 1]")
     return _iterate(op, 1.0, zero_like(x0), lambda_mix, x0, epsilon, max_iter,
@@ -230,6 +232,7 @@ def damped_solve(op: Operator, lambda_mix: float, x0, epsilon: float, max_iter: 
 
 def residual(op: Operator, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:
     """The defect ||lambda*T(x) + f - x||, measured in op's space."""
+    require_operator(op)
     shifted = lincomb(lam, apply(op, x), 1.0, f)
     return norm_in(op, lincomb(1.0, shifted, -1.0, x), norm_kind)
 
@@ -295,6 +298,7 @@ def uniqueness_check(op: Operator, cfg: PicardConfig, f, seeds):
     Returns (ok, distance): ok is True iff both runs converge and the final
     iterates differ by at most 10 * cfg.epsilon in the norm of the runs' steps.
     """
+    require_operator(op)
     x0_a, x0_b = seeds
     sol_a, trace_a = picard_solve(op, cfg, f, x0=x0_a)
     sol_b, trace_b = picard_solve(op, cfg, f, x0=x0_b)

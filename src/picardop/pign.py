@@ -18,7 +18,8 @@ import numpy as np
 from .calculus import gnn_lipschitz_report, rescale_to_contraction
 from .errors import config_value, integer
 from .ioutil import write_text_atomic
-from .operators import GnnAggregateOperator, Graph, apply, neighborhood_membership_counts
+from .operators import (GnnAggregateOperator, Graph, apply, neighborhood_membership_counts,
+                        require_operator)
 from .picard import IterationTrace, _iterate
 from .spaces import DirectSumVector, Space, zero_like
 
@@ -106,6 +107,7 @@ def pign_embed(op: GnnAggregateOperator, X: DirectSumVector, alpha: float,
     step, z_{k+1} = op(x_k) + anchor, which has a nontrivial unique fixed point
     for a certified operator. Returns (embeddings, trace).
     """
+    require_operator(op)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     report = gnn_lipschitz_report(op)

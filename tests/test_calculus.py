@@ -7,6 +7,7 @@ from picardop import (
     AffineOperator,
     AttentionOperator,
     DirectSumVector,
+    DivergenceError,
     GnnAggregateOperator,
     Graph,
     GridFunction,
@@ -117,6 +118,61 @@ class TestFdDirectional:
         # central differences are second order: halving t divides the error by ~4
         assert max(errs_t) / max(errs_half) >= 3.0
         assert float(np.median(np.array(errs_t) / np.array(errs_half))) >= 3.0
+
+
+def random_points(rng, S, m, d):
+    """S points and directions of Frobenius norm in [0.5, 1], stacked (S, m, d)."""
+    Y, H = rng.standard_normal((2, S, m, d))
+    Y *= rng.uniform(0.5, 1.0, (S, 1, 1)) / np.linalg.norm(Y, axis=(1, 2), keepdims=True)
+    H *= rng.uniform(0.5, 1.0, (S, 1, 1)) / np.linalg.norm(H, axis=(1, 2), keepdims=True)
+    return Y, H
+
+
+class TestBatchedFrechetCheck:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6), m=st.integers(1, 5),
+           d=st.integers(1, 5), t=st.sampled_from([1e-5, 1e-3, 5e-4, 0.1]))
+    def test_stack_gives_the_bytes_of_each_pair(self, seed, S, m, d, t):
+        rng = np.random.default_rng(seed)
+        op = random_attention(rng, d)
+        Y, H = random_points(rng, S, m, d)
+        stacked = frechet_check(op, Y, H, t=t)
+        assert stacked.rel_error.shape == (S,) and stacked.step == t
+        assert np.array_equal(attention_frechet(op, Y, H), stacked.analytic)
+        for s in range(S):
+            pair = frechet_check(op, Y[s], H[s], t=t)
+            assert isinstance(pair.rel_error, float)
+            assert pair.analytic.tobytes() == stacked.analytic[s].tobytes()
+            assert pair.finite_difference.tobytes() == stacked.finite_difference[s].tobytes()
+            assert np.float64(pair.rel_error).tobytes() == stacked.rel_error[s].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_stack_is_divergence(self):
+        op = AttentionOperator(*(1e110 * np.eye(2),) * 3)
+        Y, H = random_points(np.random.default_rng(70), 4, 3, 2)
+        Y[2] *= 1e10  # only this point's map overflows
+        with pytest.raises(DivergenceError) as pair:
+            frechet_check(op, Y[2], H[2])
+        with pytest.raises(DivergenceError) as stack:
+            frechet_check(op, Y, H)
+        assert str(stack.value) == str(pair.value) == (
+            "operator produced non-finite output")
+
+    @pytest.mark.parametrize("Y_shape, H_shape, message", [
+        ((3, 3), (3, 3), r"expected an m x 2 matrix or an S x m x 2 stack, got shape \(3, 3\)"),
+        ((4, 3, 3), (4, 3, 3), r"got shape \(4, 3, 3\)"),
+        ((3,), (3,), r"got shape \(3,\)"),
+        ((1, 4, 3, 2), (1, 4, 3, 2), r"got shape \(1, 4, 3, 2\)"),
+        ((4, 3, 2), (5, 3, 2), r"Y and H must share a shape, got \(4, 3, 2\) vs \(5, 3, 2\)"),
+        ((4, 3, 2), (4, 2, 2), r"share a shape"),
+        ((4, 3, 2), (3, 2), r"share a shape"),
+    ], ids=["pair-dim", "stack-dim", "vector", "4-d", "stack-count", "row-count", "stack-vs-pair"])
+    def test_wrong_shapes_are_value_errors(self, Y_shape, H_shape, message):
+        op = AttentionOperator(np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=message):
+            frechet_check(op, np.ones(Y_shape), np.ones(H_shape))
+        with pytest.raises(ValueError, match=message):
+            attention_frechet(op, np.ones(Y_shape), np.ones(H_shape))
 
 
 class TestSpectralNorm:

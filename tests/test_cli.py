@@ -10,6 +10,8 @@ from picardop import (
     AffineOperator,
     PicardConfig,
     banach_bounds,
+    frechet_check,
+    operator_from_config,
     picard_solve,
     residual,
     trace_csv_text,
@@ -358,6 +360,50 @@ class TestFrechetCheckCommand:
         })
         assert main(["frechet-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_report_matches_a_per_sample_loop(self, tmp_path, seed):
+        # the command checks all samples in one stacked pass; each sample's
+        # numbers must be those of a frechet_check call on its own pair
+        cfg = json.loads((CONFIGS / "attention_frechet.json").read_text())
+        op = operator_from_config(cfg["operator"])
+        check = cfg["check"]
+        rng = np.random.default_rng(seed)
+        max_rel, errors_t, errors_half = 0.0, [], []
+        for _ in range(check["n_samples"]):
+            Y = rng.standard_normal((check["rows"], op.d))
+            H = rng.standard_normal((check["rows"], op.d))
+            Y *= rng.uniform(0.5, 1.0) / np.linalg.norm(Y)
+            H *= rng.uniform(0.5, 1.0) / np.linalg.norm(H)
+            max_rel = max(max_rel, frechet_check(op, Y, H, t=check["t"]).rel_error)
+            e1 = frechet_check(op, Y, H, t=check["order_t"])
+            e2 = frechet_check(op, Y, H, t=check["order_t"] / 2)
+            errors_t.append(np.linalg.norm(e1.analytic - e1.finite_difference))
+            errors_half.append(np.linalg.norm(e2.analytic - e2.finite_difference))
+        ratio = float(max(errors_t) / max(errors_half))
+        expected = {
+            "n_samples": check["n_samples"], "t": check["t"], "max_rel_error": max_rel,
+            "order_check": {"t": check["order_t"], "max_error_t": float(max(errors_t)),
+                            "max_error_half_t": float(max(errors_half)), "ratio": ratio,
+                            "order_estimate": float(np.log2(ratio))},
+        }
+        out = tmp_path / "out"
+        assert main(["frechet-check", "--config", str(CONFIGS / "attention_frechet.json"),
+                     "--out", str(out), "--seed", str(seed), "--quiet"]) == 0
+        assert (out / "frechet_report.json").read_text() == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_map_output_exits_3(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "attention_frechet.json").read_text())
+        for w in ("Wq", "Wk", "Wv"):
+            cfg["operator"][w] = (1e110 * np.eye(3)).tolist()
+        out = tmp_path / "o"
+        assert main(["frechet-check", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: iteration diverged: operator produced non-finite output\n")
+        assert not any(out.iterdir())
+
 
 class TestGnnCertCommand:
     def test_certificate_and_rescaled_matrix(self, tmp_path):
@@ -463,6 +509,16 @@ class TestDeterminism:
         assert manifest["config"] == json.loads((CONFIGS / config).read_text())
         assert manifest["version"]
 
+    def test_manifest_is_one_line_of_sorted_key_json(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["gnn-cert", "--config", str(CONFIGS / "gnn_cert.json"), "--out", str(out),
+                     "--seed", "4", "--quiet"]) == 0
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert set(manifest) == {"command", "config", "seed", "version"}
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert text == json.dumps(manifest, sort_keys=True) + "\n"
+
     def test_sweep_sub_run_manifest(self, tmp_path):
         out = tmp_path / "out"
         main(["sweep", "--config", str(CONFIGS / "sweep_lambda.json"), "--out", str(out),
@@ -481,6 +537,28 @@ def test_help_lists_every_command(capsys):
     help_text = capsys.readouterr().out
     for command in ("solve", "rates", "frechet-check", "gnn-cert", "pign", "sweep"):
         assert f"\n  {command} " in help_text
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_consecutive_main_calls_share_no_parser_state(tmp_path, capsys):
+    # the cached parser serves both calls; each run must see only its own argv
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["frechet-check", "--config", str(CONFIGS / "attention_frechet.json"),
+                 "--out", str(first), "--seed", "7", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["solve", "--config", str(CONFIGS / "affine_solve.json"),
+                 "--out", str(second)]) == 0
+    assert capsys.readouterr().out.startswith("converged after ")
+    assert sorted(p.name for p in first.iterdir()) == ["frechet_report.json", "manifest.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["manifest.json", "summary.json",
+                                                        "trace.csv"]
+    for out, command, seed in ((first, "frechet-check", 7), (second, "solve", 0)):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["seed"]) == (command, seed)
+    assert json.loads((second / "summary.json").read_text())["converged"] is True
 
 
 def set_path(cfg: dict, keys, value) -> None:

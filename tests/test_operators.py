@@ -16,14 +16,18 @@ from picardop import (
     Space,
     apply,
     damped_solve,
+    fd_directional,
+    frechet_check,
     graph_from_edgelist,
     grid_uniform,
     lipschitz_sample,
     make_kernel,
     neighborhood_membership_counts,
     operator_from_config,
+    pign_embed,
     picard_solve,
     residual,
+    uniqueness_check,
 )
 from picardop import picard
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
@@ -537,6 +541,35 @@ class TestApply:
         assert 0.0 < sample.value <= 0.5
         with pytest.raises(DivergenceError, match="grid function values must be finite"):
             apply(op, np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+CFG = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
+PUBLIC_ENTRIES = {
+    "picard_solve": lambda fn: picard_solve(fn, CFG, np.ones(2)),
+    "damped_solve": lambda fn: damped_solve(fn, 0.5, np.ones(2), 1e-12, 50),
+    "pign_embed": lambda fn: pign_embed(fn, DirectSumVector.from_matrix(np.ones((2, 2))),
+                                        0.5, 10, 1e-12),
+    "residual": lambda fn: residual(fn, 1.0, np.ones(2), np.ones(2)),
+    "uniqueness_check": lambda fn: uniqueness_check(fn, CFG, np.ones(2),
+                                                    (np.ones(2), np.zeros(2))),
+    "fd_directional": lambda fn: fd_directional(fn, np.ones(2), np.ones(2)),
+    "frechet_check": lambda fn: frechet_check(fn, np.ones((2, 2)), np.ones((2, 2))),
+    "lipschitz_sample": lambda fn: lipschitz_sample(fn, lambda rng: rng.standard_normal(2), 5),
+}
+
+
+@pytest.mark.parametrize("entry", PUBLIC_ENTRIES)
+def test_plain_function_is_refused_by_every_public_entry(entry):
+    calls = []
+
+    def half(x):
+        calls.append(x)
+        return 0.5 * x
+
+    with pytest.raises(TypeError, match=r"^expected an Operator, got function: a custom map "
+                                        r"must subclass picardop\.Operator"):
+        PUBLIC_ENTRIES[entry](half)
+    assert calls == []
 
 
 class TestOperatorConfig:
