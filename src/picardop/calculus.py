@@ -24,7 +24,7 @@ from .operators import (
     require_operator,
 )
 # norm is unused here, but bench/tracing.py's WRAPS rebinds calculus.norm by name
-from .spaces import Space, lincomb, norm  # noqa: F401
+from .spaces import Space, all_finite, lincomb, norm  # noqa: F401
 
 FD_DEFAULT_STEP = 1e-5
 
@@ -146,7 +146,7 @@ def spectral_norm(A) -> float:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a 2-D matrix")
-    if not np.all(np.isfinite(A)):
+    if not all_finite(A):
         raise ValueError("A must have finite entries")
     if not A.any():
         return 0.0

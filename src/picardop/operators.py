@@ -25,6 +25,7 @@ import os
 
 import numpy as np
 
+from ._blas import symv
 from .errors import (REQUIRED, ConfigError, DivergenceError, NonFiniteError, config_value,
                      integer)
 from .spaces import (
@@ -45,7 +46,7 @@ def _finite_matrix(M, name: str, square: bool = False) -> np.ndarray:
         raise ValueError(f"{name} must be a 2-D matrix")
     if square and M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not all_finite(M):
         raise ValueError(f"{name} must have finite entries")
     M.setflags(write=False)
     return M
@@ -80,7 +81,7 @@ class AffineOperator(Operator):
         b = np.zeros(d) if b is None else np.array(b, dtype=float)
         if b.shape != (d,):
             raise ValueError(f"b must be a length-{d} vector, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
+        if not all_finite(b):
             raise ValueError("b must have finite entries")
         b.setflags(write=False)
         self.b = b
@@ -190,12 +191,24 @@ def make_kernel(name: str, params=None, table=None):
     return KERNELS[name]() if params is None else KERNELS[name](params)
 
 
+def _bitwise_symmetric(K: np.ndarray) -> bool:
+    """True if the C-contiguous float64 matrix K equals its transpose bit for
+    bit, so -0.0 and 0.0 differ. Compared in square tiles of the ``uint64``
+    view, so that no n x n temporary is made."""
+    bits = K.view(np.uint64)
+    n, tile = K.shape[0], 512
+    return all(np.array_equal(bits[i:i + tile, j:j + tile], bits[j:j + tile, i:i + tile].T)
+               for i in range(0, n, tile) for j in range(i, n, tile))
+
+
 class HammersteinOperator(Operator):
     """Quadrature integral operator: output(t_i) = sum_j w_j * G(y(s_j), t_i, s_j).
 
     Separable kernels apply through their rank-2 factors, U @ (phi @ Vw) with
     the weights folded into Vw, in O(n) time and memory; the n x n weight
-    matrix ``_K`` is built only on request. Table kernels apply ``_K``.
+    matrix ``_K`` is built only on request. Table kernels apply ``_K``: by a
+    BLAS dsymv, which reads one triangle, when ``_K`` is read-only and equals
+    its transpose bit for bit, else by a gemv.
     """
 
     def __init__(self, grid: Grid, kernel):
@@ -214,10 +227,14 @@ class HammersteinOperator(Operator):
             checked = (kernel.weight_matrix(ends, ends), U, Vw)
         else:
             self._factors = None
-            if self._K.shape != (grid.n, grid.n):
+            K = self._K
+            if K.shape != (grid.n, grid.n):
                 raise ValueError("kernel weight matrix does not match the grid")
-            checked = (self._K,)
-        if not all(np.all(np.isfinite(M)) for M in checked):
+            # a TabulatedKernel proved its table finite and made it read-only
+            checked = () if isinstance(kernel, TabulatedKernel) else (K,)
+            self._symmetric = (K.dtype == np.float64 and K.flags.c_contiguous
+                               and not K.flags.writeable and _bitwise_symmetric(K))
+        if not all(all_finite(M) for M in checked):
             raise ValueError("kernel evaluates to non-finite values on the grid")
 
     @functools.cached_property
@@ -229,13 +246,15 @@ class HammersteinOperator(Operator):
         """The output values for the ``(n,)`` input values, checked to be finite.
 
         ``ndarray.dot`` makes the same BLAS gemv calls as ``@`` without the
-        ufunc dispatch, so the bytes are those of ``U @ (phi @ Vw)`` and
-        ``K @ (w * phi)``. A rank-2 output whose entries are bounded far below
-        overflow by its two coefficients is finite, and is not scanned.
+        ufunc dispatch, so the bytes are those of ``U @ (phi @ Vw)`` and, for
+        a matrix that is not symmetric, ``K @ (w * phi)``. A rank-2 output
+        whose entries are bounded far below overflow by its two coefficients
+        is finite, and is not scanned.
         """
         phi = self.kernel.nonlinearity(values)
         if self._factors is None:
-            out = self._K.dot(self.grid.weights * phi)
+            v = self.grid.weights * phi
+            out = symv(self._K, v) if self._symmetric else self._K.dot(v)
             require_finite(out, "grid function values")
             return out
         U, Vw = self._factors
@@ -379,7 +398,7 @@ def _matrix_entry(entry, base_dir: str, field: str) -> np.ndarray:
         raise ConfigError(field, f"cannot read file: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(field, f"not a numeric array: {exc}") from exc
-    if not np.all(np.isfinite(M)):
+    if not all_finite(M):
         raise ConfigError(field, "must be finite (no NaN/Inf)")
     return M
 

@@ -374,18 +374,30 @@ def test_criterion_10_determinism(tmp_path):
         "picard": {"lambda": 1.0, "epsilon": 1e-11, "max_iter": 5000},
         "rates": {"reference_epsilon": 1e-13},
     }
-    cfg_path = tmp_path / "solve.json"
-    cfg_path.write_text(json.dumps(solve_cfg))
+    # a symmetric kernel table, so the solve applies it by dsymv
+    t = np.linspace(0.0, 1.0, 201)
+    table_cfg = {
+        "operator": {"type": "hammerstein",
+                     "grid": {"a": 0.0, "b": 1.0, "n": 201, "rule": "simpson"},
+                     "kernel": "table",
+                     "table": (0.5 * np.exp(-np.abs(t[:, None] - t[None, :]))).tolist()},
+        "f": {"constant": 1.0},
+        "picard": {"lambda": 1.0, "epsilon": 1e-12, "max_iter": 200},
+    }
+    runs = (("solve", solve_cfg, ("solve", "rates")), ("table", table_cfg, ("solve",)))
+    for name, cfg, _ in runs:
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     artifact_sets = []
     for tag in ("a", "b"):
         files = {}
-        for command in ("solve", "rates"):
-            out = tmp_path / f"{command}_{tag}"
-            code = cli_main([command, "--config", str(cfg_path), "--out", str(out),
-                             "--seed", "17", "--quiet"])
-            assert code == 0
-            for p in sorted(out.iterdir()):
-                files[f"{command}/{p.name}"] = p.read_bytes()
+        for name, _, commands in runs:
+            for command in commands:
+                out = tmp_path / f"{name}_{command}_{tag}"
+                code = cli_main([command, "--config", str(tmp_path / f"{name}.json"),
+                                 "--out", str(out), "--seed", "17", "--quiet"])
+                assert code == 0
+                for p in sorted(out.iterdir()):
+                    files[f"{name}/{command}/{p.name}"] = p.read_bytes()
         artifact_sets.append(files)
     cli_identical = artifact_sets[0] == artifact_sets[1]
 

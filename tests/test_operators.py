@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +35,8 @@ from picardop import (
     residual,
     uniqueness_check,
 )
-from picardop import picard
+import picardop
+from picardop import _blas, picard
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 from picardop.spaces import require_finite
 
@@ -211,10 +218,93 @@ class TestHammerstein:
 
     def test_table_kernel_applies_dense_matrix(self):
         g = grid_uniform(0, 1, 201, rule="simpson")
+        # exp(-|t - 2s|) is not symmetric, so the apply is K's gemv
+        op = HammersteinOperator(g, make_kernel(
+            "table", table=0.5 * np.exp(-np.abs(g.points[:, None] - 2 * g.points[None, :]))))
+        y = GridFunction(g, np.cos(3 * g.points))
+        assert not op._symmetric
+        assert np.array_equal(apply(op, y).values, op._K @ (g.weights * y.values))
+
+    @settings(deadline=None)
+    @given(n=st.integers(2, 700), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_symmetric_table_apply_is_within_the_dot_product_error_bound(self, n, seed,
+                                                                         scale):
+        rng = np.random.default_rng(seed)
+        g = grid_uniform(0, 1, n)
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        op = HammersteinOperator(g, make_kernel("table", table=A + A.T))
+        assert op._symmetric
+        y = GridFunction(g, scale * rng.standard_normal(n))
+        v = g.weights * y.values
+        K, v_ld = op._K.astype(np.longdouble), v.astype(np.longdouble)
+        exact = K @ v_ld
+        # any summation order in double is within gamma_n * |K| |v| of the exact
+        # product; the long double reference adds its own, smaller gamma_n
+        gamma = [n * u / (1 - n * u) for u in
+                 (np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2)]
+        bound = sum(gamma) * (np.abs(K) @ np.abs(v_ld))
+        assert np.all(np.abs(apply(op, y).values - exact) <= bound)
+
+    # the symmetry test compares 512 x 512 tiles: entries in a tile off the
+    # diagonal, in a second diagonal tile and in the first
+    @pytest.mark.parametrize("entry, nudge", [
+        ((900, 3), lambda x: np.nextafter(x, np.inf)),
+        ((700, 600), lambda x: np.nextafter(x, np.inf)),
+        ((0, 1), np.negative),
+    ], ids=["one-ulp-off-diagonal-tile", "one-ulp-diagonal-tile", "negative-zero"])
+    def test_table_that_is_not_bitwise_symmetric_applies_by_gemv(self, entry, nudge):
+        g = grid_uniform(0, 1, 1001)
+        table = 0.5 * np.exp(-np.abs(g.points[:, None] - g.points[None, :]))
+        table[0, 1] = table[1, 0] = 0.0
+        assert HammersteinOperator(g, make_kernel("table", table=table))._symmetric
+        table[entry] = nudge(table[entry])
+        op = HammersteinOperator(g, make_kernel("table", table=table))
+        y = GridFunction(g, np.cos(3 * g.points))
+        assert not op._symmetric
+        assert np.array_equal(apply(op, y).values, op._K.dot(g.weights * y.values))
+
+    def test_symmetric_table_without_dsymv_gives_the_gemv_bytes(self, monkeypatch):
+        g = grid_uniform(0, 1, 201, rule="simpson")
         op = HammersteinOperator(g, make_kernel(
             "table", table=0.5 * np.exp(-np.abs(g.points[:, None] - g.points[None, :]))))
         y = GridFunction(g, np.cos(3 * g.points))
-        assert np.array_equal(apply(op, y).values, op._K @ (g.weights * y.values))
+        monkeypatch.setattr(_blas, "_dsymv", lambda: None)
+        assert op._symmetric
+        assert np.array_equal(apply(op, y).values, op._K.dot(g.weights * y.values))
+
+    def test_symmetric_table_applies_repeat_bit_for_bit(self):
+        g = grid_uniform(0, 1, 1001)
+        op = HammersteinOperator(g, make_kernel(
+            "table", table=0.5 * np.exp(-np.abs(g.points[:, None] - g.points[None, :]))))
+        y = GridFunction(g, np.cos(3 * g.points))
+        first = apply(op, y).values.tobytes()
+        assert op._symmetric
+        assert all(apply(op, y).values.tobytes() == first for _ in range(20))
+
+    def test_import_and_symmetric_apply_load_no_scipy(self):
+        # the dsymv binding is found on the first symmetric apply, not on
+        # import, and never through scipy
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import picardop
+            from picardop import _blas
+            assert _blas._dsymv.cache_info().currsize == 0
+            g = picardop.grid_uniform(0, 1, 11)
+            table = np.exp(-np.abs(g.points[:, None] - g.points[None, :]))
+            op = picardop.HammersteinOperator(g, picardop.make_kernel("table", table=table))
+            picardop.apply(op, picardop.GridFunction(g, g.points))
+            assert op._symmetric and _blas._dsymv.cache_info().currsize == 1
+            print("scipy" in sys.modules)
+        """)
+        src = str(Path(picardop.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_separable_operator_stores_no_dense_matrix(self):
         g = grid_uniform(0, 1, 4001, rule="simpson")
