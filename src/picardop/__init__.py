@@ -12,16 +12,12 @@ from .errors import ConfigError, DivergenceError, NonFiniteError
 from .spaces import (
     Grid,
     GridFunction,
-    DirectSumVector,
     Space,
     grid_uniform,
     grid_from_json,
     norm,
-    direct_sum_norm,
     lincomb,
-    zero_like,
     flatten_values,
-    unflatten_like,
     load_matrix_text,
 )
 from .operators import (

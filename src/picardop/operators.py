@@ -7,10 +7,10 @@ Three rules hold for every operator here:
 
 - Its space is ``(d,)`` for affine, ``(None, d)`` (m tokens) for attention,
   the grid's ``(n,)`` values for Hammerstein, and n blocks of dim d (its
-  ``block_dims``) for graph aggregation. One shared ``__call__`` maps
-  ``space.values(x)`` and wraps the output by ``space.wrap`` only when ``x``
-  was a ``GridFunction`` or ``DirectSumVector``; both forms give the same
-  bytes. A flat array is checked only for its shape, so the solvers check a
+  ``block_dims``) for graph aggregation, on flat ``(n*d,)`` arrays. One shared
+  ``__call__`` maps ``space.values(x)`` and wraps the output by ``space.wrap``
+  only when ``x`` was a ``GridFunction``; both forms give the same bytes. A
+  flat array is checked only for its shape and dtype, so the solvers check a
   start once, before their loops. The space also decides the norm: the
   solvers and ``norm_in`` measure flat values in ``space.norm(kind)``.
 - Its ``_map`` checks its own output and raises ``NonFiniteError`` on a NaN or
@@ -58,7 +58,7 @@ class Operator:
     ``space.flat_shape`` to a float array of that shape and checks it is finite."""
 
     def __call__(self, x):
-        """T(x): flat values map to a plain array, a structured value to its own form."""
+        """T(x): flat values map to a plain array, a GridFunction to a GridFunction."""
         values = self.space.values(x)
         out = self._map(values)
         return out if values is x else self.space.wrap(out)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DivergenceError, config_value, integer
 from .operators import Operator, apply, norm_in, require_operator
 # norm is unused here, but bench/tracing.py's WRAPS rebinds picard.norm by name
-from .spaces import NORM_KINDS, Space, lincomb, norm, zero_like  # noqa: F401
+from .spaces import NORM_KINDS, Space, lincomb, norm  # noqa: F401
 
 DIVERGENCE_STEP_RATIO = 1e12
 
@@ -204,7 +204,8 @@ def picard_solve(op: Operator, cfg: PicardConfig, f, x0=None, record_iterates: b
 
     ``op`` is an ``Operator``. The start decides the form of the solution and
     the iterates (``f`` is a value of its space, or flat values), and
-    ``op.space`` the norm. The start is checked once against ``op.space``;
+    ``op.space`` the norm: block values are flat arrays, whose blocks only
+    ``op.space`` knows. The start is checked once against ``op.space``;
     every step applies ``op`` to flat values and checks the output's shape.
 
     Returns (solution, trace); raises DivergenceError (carrying the partial
@@ -226,8 +227,8 @@ def damped_solve(op: Operator, lambda_mix: float, x0, epsilon: float, max_iter: 
     require_operator(op)
     if not 0.0 <= lambda_mix <= 1.0:
         raise ValueError("lambda_mix must lie in [0, 1]")
-    return _iterate(op, 1.0, zero_like(x0), lambda_mix, x0, epsilon, max_iter,
-                    norm_kind, record_iterates)
+    return _iterate(op, 1.0, np.zeros(op.space.values(x0).shape), lambda_mix, x0, epsilon,
+                    max_iter, norm_kind, record_iterates)
 
 
 def residual(op: Operator, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:

@@ -21,7 +21,7 @@ from .ioutil import write_text_atomic
 from .operators import (GnnAggregateOperator, Graph, apply, neighborhood_membership_counts,
                         require_operator)
 from .picard import IterationTrace, _iterate
-from .spaces import DirectSumVector, Space, zero_like
+from .spaces import Space
 
 REPORT_CSV_HEADER = "seed,mode,noise_p,pign_acc,baseline_acc,iters_used"
 
@@ -31,7 +31,7 @@ class PlantedPartitionDataset:
     """Synthetic two-class graph: denser within classes, a class-mean feature gap."""
 
     graph: Graph
-    features: DirectSumVector
+    features: np.ndarray  # read-only (n*d,) block values: node v's are [v*d, v*d + d)
     labels: np.ndarray
     params: dict
 
@@ -40,7 +40,7 @@ class PlantedPartitionDataset:
 class PignResult:
     """One experiment run: final embeddings, solve trace, and both readout accuracies."""
 
-    embeddings: DirectSumVector
+    embeddings: np.ndarray  # (n*d,) block values of the operator's space
     trace: IterationTrace
     readout_accuracy: float
     baseline_accuracy: float
@@ -74,38 +74,37 @@ def planted_partition(n: int, d: int, p_in: float, p_out: float,
     feats = means + rng.standard_normal((n, d))
     return PlantedPartitionDataset(
         graph=graph,
-        features=DirectSumVector.from_matrix(feats),
+        features=Space((n, d), block_dims=(d,) * n).wrap(feats),
         labels=labels,
         params={"n": n, "d": d, "p_in": p_in, "p_out": p_out,
                 "class_mean_separation": separation, "seed": seed},
     )
 
 
-def add_dropin_noise(X: DirectSumVector, p: float, magnitude: float,
-                     seed: int) -> DirectSumVector:
-    """Add +magnitude to floor(p * total_entries) entries chosen uniformly at random."""
+def add_dropin_noise(X: np.ndarray, p: float, magnitude: float, seed: int) -> np.ndarray:
+    """A read-only copy of X with +magnitude added to floor(p * X.size) random entries."""
     if not 0 <= p <= 1:
         raise ValueError("noise fraction p must lie in [0, 1]")
     if not magnitude > 0:
         raise ValueError("magnitude must be positive")
-    flat = X.values.copy()
-    total = flat.size
-    count = int(math.floor(p * total))
+    noisy = np.array(X, dtype=float)
+    count = int(math.floor(p * noisy.size))
     if count:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(total, size=count, replace=False)
-        flat[idx] += magnitude
-    return X.with_values(flat)
+        idx = np.random.default_rng(seed).choice(noisy.size, size=count, replace=False)
+        noisy.flat[idx] += magnitude
+    noisy.setflags(write=False)
+    return noisy
 
 
-def pign_embed(op: GnnAggregateOperator, X: DirectSumVector, alpha: float,
-               n: int, epsilon: float, anchor: Optional[DirectSumVector] = None):
+def pign_embed(op: GnnAggregateOperator, X: np.ndarray, alpha: float,
+               n: int, epsilon: float, anchor: Optional[np.ndarray] = None):
     """Iterated message passing with smoothing: x_{k+1} = alpha x_k + (1-alpha) z_{k+1}.
 
     With anchor=None, z_{k+1} = op(x_k) (the homogeneous loop, whose fixed
     point under contraction is 0); with an anchor the update injects it every
     step, z_{k+1} = op(x_k) + anchor, which has a nontrivial unique fixed point
-    for a certified operator. Returns (embeddings, trace).
+    for a certified operator. X and the anchor are flat block values of
+    ``op.space``, as are the returned embeddings. Returns (embeddings, trace).
     """
     require_operator(op)
     if not 0.0 <= alpha <= 1.0:
@@ -114,7 +113,7 @@ def pign_embed(op: GnnAggregateOperator, X: DirectSumVector, alpha: float,
     if not report.certified:
         warnings.warn(f"aggregation operator is not contraction-certified "
                       f"(L*alpha_max = {report.product:g} >= 1); iterations may not settle")
-    f = zero_like(X) if anchor is None else anchor
+    f = np.zeros(op.space.flat_shape) if anchor is None else anchor
     return _iterate(op, 1.0, f, alpha, X, epsilon, n, "direct-sum")
 
 
@@ -131,9 +130,9 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     both tiny and large embedding scales train on equal footing. Returns
     (weights, test_accuracy); the weight vector acts on standardized features
     with an intercept as its last component. ``embeddings`` is an (n, d)
-    matrix or n blocks of dim d, read through ``Space.of``; other shapes, a
-    label other than 0 or 1 (naming ``labels``) and fewer than 3 nodes, which
-    would leave the train or the test set empty, are ValueErrors.
+    matrix (flat block values reshaped to their space's ``shape``); other
+    shapes, a label other than 0 or 1 (naming ``labels``) and fewer than 3
+    nodes, which would leave the train or the test set empty, are ValueErrors.
 
     With 0/1 labels the clipped log-loss is non-finite exactly when a
     probability is NaN, as ``p = (1 + tanh(z/2)) / 2`` otherwise lies in
@@ -141,10 +140,9 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     for the ValueError ("non-finite logistic loss at epoch <k>: ...") that
     such an epoch raises.
     """
-    space = Space.of(embeddings)
-    if len(space.shape) != 2:
-        raise ValueError(f"embeddings must be (n, d) or blocks of one dim, got {space.shape}")
-    X = space.values(embeddings).reshape(space.shape)
+    X = Space.of(embeddings).values(embeddings)
+    if X.ndim != 2:
+        raise ValueError(f"embeddings must be an (n, d) matrix, got shape {X.shape}")
     y = np.asarray(labels)
     n = X.shape[0]
     if y.shape != (n,):
@@ -232,9 +230,9 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
         embeddings, trace = pign_embed(op, X, alpha, max_iter, epsilon, anchor=anchor)
         baseline = apply(op, X)
 
-        split_seed = split_seed0 + s
-        _, acc = train_logistic_readout(embeddings, ds.labels, split_seed, lr, epochs)
-        _, acc_base = train_logistic_readout(baseline, ds.labels, split_seed, lr, epochs)
+        acc, acc_base = (train_logistic_readout(Z.reshape(op.space.shape), ds.labels,
+                                                split_seed0 + s, lr, epochs)[1]
+                         for Z in (embeddings, baseline))
         results.append(PignResult(embeddings=embeddings, trace=trace,
                                   readout_accuracy=acc, baseline_accuracy=acc_base,
                                   seed=s, mode=mode, noise_p=noise_p))

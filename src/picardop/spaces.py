@@ -1,9 +1,10 @@
-"""Discretized function spaces: interval grids, grid functions, direct sums, and norms.
+"""Discretized function spaces: interval grids, grid functions, block values, and norms.
 
 A ``Space`` is the one record of a value's structure: a shape, plus a grid or
-block dims. GridFunctions and DirectSumVectors hold their flat values and their
-space; ``Space.of(x)`` is any value's space. It checks, wraps and combines values
-and owns the norms, so each helper here is ``Space.of(x)`` and ``Space`` calls.
+block dims. A GridFunction holds its flat values and its space; a block value is
+a plain flat array. ``Space.of(x)`` is any value's space. It checks, wraps and
+combines values and owns the norms, so each helper here is ``Space.of(x)`` and
+``Space`` calls.
 
 All values are immutable after construction and all operations are pure, so
 they can be shared freely across threads. Arithmetic is 64-bit floating point.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +33,14 @@ def all_finite(arr: np.ndarray) -> bool:
     for such finite entries.
     """
     return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def _real_array(values) -> np.ndarray:
+    """``values`` as a float array; a ValueError names the dtype of complex values."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"expected real values, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
 
 
 def require_finite(arr: np.ndarray, what: str) -> None:
@@ -151,74 +159,12 @@ class GridFunction:
         return f"GridFunction(n={self.grid.n}, values={self.values!r})"
 
 
-class DirectSumVector:
-    """Element of a direct sum of component spaces, stored as one flat array.
-
-    ``values`` holds the blocks end to end and is read-only; ``blocks`` are
-    read-only views into it, and ``space`` records their dims. The direct-sum
-    norm is the *sum* of the component L2 norms, so that for disjoint block
-    concatenation the norm is additive.
-    """
-
-    def __init__(self, blocks: Sequence, block_dims: Sequence[int] | None = None):
-        arrs = [np.asarray(b, dtype=float) for b in blocks]
-        if any(b.ndim != 1 for b in arrs):
-            raise ValueError("blocks must be 1-D vectors")
-        dims = tuple(b.size for b in arrs)
-        if block_dims is not None and tuple(block_dims) != dims:
-            raise ValueError(f"block_dims {tuple(block_dims)} do not match actual dims {dims}")
-        uniform = bool(dims) and dims.count(dims[0]) == len(dims)
-        self.space = Space((len(dims), dims[0]) if uniform else (sum(dims),), block_dims=dims)
-        self.values = self.space._copy(np.concatenate(arrs))
-
-    @property
-    def block_dims(self) -> tuple:
-        return self.space.block_dims
-
-    def with_values(self, values) -> "DirectSumVector":
-        """A vector with this block structure holding a copy of the flat ``values``."""
-        return self.space.wrap(values)
-
-    @functools.cached_property
-    def blocks(self) -> tuple:
-        ends = itertools.accumulate(self.block_dims)
-        return tuple(self.values[end - d:end] for d, end in zip(self.block_dims, ends))
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_dims)
-
-    def is_uniform(self) -> bool:
-        dims = self.block_dims
-        return dims.count(dims[0]) == len(dims)
-
-    def stacked(self) -> np.ndarray:
-        """Blocks as a read-only (n_blocks, d) view; requires uniform block dims."""
-        if not self.is_uniform():
-            raise ValueError("blocks have mixed dimensions")
-        return self.values.reshape(self.n_blocks, self.block_dims[0])
-
-    @classmethod
-    def from_matrix(cls, M) -> "DirectSumVector":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2:
-            raise ValueError("expected a 2-D matrix, one row per block")
-        return Space(M.shape, block_dims=(M.shape[1],) * M.shape[0]).wrap(M)
-
-    def __repr__(self) -> str:
-        return f"DirectSumVector(n_blocks={self.n_blocks}, block_dims={self.block_dims})"
-
-
-# Values stored as one read-only flat array plus their space.
-_STRUCTURED = (GridFunction, DirectSumVector)
-
-
 class Space:
     """The space of a value: values of ``shape`` (``None``: a free row count).
 
-    A ``grid`` space holds GridFunctions on the grid, and a ``block_dims``
-    space DirectSumVectors with blocks of those dims (``shape`` is (n, d) for
-    n blocks of dim d, else the total dim); both are handled as flat arrays of
+    A ``grid`` space holds GridFunctions on the grid, and a ``block_dims`` space
+    flat arrays of blocks of those dims, end to end (``shape`` is (n, d) for n
+    blocks of dim d, else the total dim); both are handled as flat arrays of
     ``flat_shape``. Any other space holds plain float arrays of ``shape``.
     ``Space.of(x)`` is the space of a value x; the space decides its norms.
     """
@@ -237,52 +183,47 @@ class Space:
 
     @staticmethod
     def of(x) -> "Space":
-        """The space of a GridFunction or DirectSumVector, else plain arrays of x's shape."""
-        if isinstance(x, _STRUCTURED):
-            return x.space
-        return Space(x.shape if isinstance(x, np.ndarray) else np.shape(x))
+        """The space of a GridFunction, else plain arrays of x's shape."""
+        return x.space if isinstance(x, GridFunction) else Space(np.shape(x))
 
     def values(self, x) -> np.ndarray:
         """The flat values of ``x`` (an array of ``flat_shape`` as it is); a
-        ValueError unless x lies in the space. Plain spaces convert by np.asarray."""
+        ValueError unless x is real and lies in the space. Plain spaces convert
+        by np.asarray."""
         if isinstance(x, np.ndarray) and x.shape[self._free:] == self._tail:
+            if x.dtype.kind == "c":
+                raise ValueError(f"expected real values, got dtype {x.dtype}")
             return x
-        if not isinstance(x, _STRUCTURED):
-            if self.grid is None and self.block_dims is None:
-                x = np.asarray(x, dtype=float)
-                if x.shape[self._free:] == self._tail:
-                    return x
-        elif x.space.grid is not None and self.grid is not None:
-            if not x.space.grid.matches(self.grid):
-                raise ValueError("input must be a GridFunction on the operator's grid")
-            return x.values
-        elif x.space.block_dims is not None and self.block_dims is not None:
-            dims, want = x.space.block_dims, self.block_dims
-            if len(dims) != len(want):
-                raise ValueError(f"expected {len(want)} blocks, got {len(dims)}")
-            if dims != want:
-                d = want[0] if want.count(want[0]) == len(want) else want
-                raise ValueError(f"expected blocks of dim {d}, got {dims}")
-            return x.values
+        if isinstance(x, GridFunction):
+            if self.grid is not None:
+                if not x.grid.matches(self.grid):
+                    raise ValueError("input must be a GridFunction on the operator's grid")
+                return x.values
+        elif self.grid is None and self.block_dims is None:
+            x = _real_array(x)
+            if x.shape[self._free:] == self._tail:
+                return x
         want = " x ".join("m" if n is None else str(n) for n in self.flat_shape)
         got = getattr(x, "shape", type(x).__name__)
         raise ValueError(f"expected an array of {want} flat values, got {got}")
 
     def wrap(self, values):
-        """Flat ``values`` in the space's form, a ValueError unless they fit it: a
-        GridFunction or DirectSumVector holding a finite read-only copy, or for a
-        plain space a float array (the array itself when it is one)."""
-        if self.grid is None and self.block_dims is None:
-            return self.values(np.asarray(values, dtype=float))
-        out = object.__new__(DirectSumVector if self.grid is None else GridFunction)
-        out.space, out.values = self, self._copy(values)
-        return out
+        """Flat ``values`` in the space's form, a ValueError unless they fit it: on a
+        grid a GridFunction holding a finite read-only copy, on blocks that copy
+        itself, else a float array (the array itself when it is one)."""
+        if self.grid is not None:
+            out = object.__new__(GridFunction)
+            out.space, out.values = self, self._copy(values)
+            return out
+        if self.block_dims is not None:
+            return self._copy(values)
+        return self.values(_real_array(values))
 
     def _copy(self, values) -> np.ndarray:
         """A read-only float copy of a grid or block space's flat ``values`` (or
         blocks as a matrix of ``shape``); a ValueError unless of ``flat_shape``,
         a NonFiniteError unless finite."""
-        values = np.array(values, dtype=float)
+        values = _real_array(values).copy()
         if values.shape == self.shape != self.flat_shape:
             values = values.ravel()
         on_grid = self.grid is not None
@@ -344,14 +285,10 @@ def _sup_norm(values: np.ndarray) -> float:
 
 
 def norm(x, kind: str = "discrete-L2") -> float:
-    """The ``kind`` norm (see ``Space.norm``) of a vector-like value in its own space."""
+    """The ``kind`` norm (see ``Space.norm``) of a vector-like value in its own space.
+    A flat array carries no block dims, so measure block values by ``op.space.norm``."""
     space = Space.of(x)
     return space.norm(kind)(space.values(x).astype(float, copy=False))
-
-
-def direct_sum_norm(x: DirectSumVector) -> float:
-    """Sum of the per-block L2 norms."""
-    return norm(x, "direct-sum")
 
 
 def lincomb(a: float, x, b: float, y):
@@ -360,21 +297,9 @@ def lincomb(a: float, x, b: float, y):
     return space.wrap(space.lincomb(a, x, b, y))
 
 
-def zero_like(x):
-    """The zero element of the space x lives in."""
-    space = Space.of(x)
-    return space.wrap(np.zeros(space.flat_shape))
-
-
 def flatten_values(x) -> np.ndarray:
     """All numeric entries of a vector-like value as one flat array."""
     return Space.of(x).values(x).astype(float, copy=False).ravel()
-
-
-def unflatten_like(template, flat):
-    """Rebuild a vector-like value in the template's space from flat entries."""
-    space = Space.of(template)
-    return space.wrap(np.asarray(flat, dtype=float).reshape(space.flat_shape))
 
 
 def load_matrix_text(path) -> np.ndarray:

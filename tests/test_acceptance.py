@@ -13,7 +13,6 @@ import pytest
 
 from picardop import (
     AffineOperator,
-    DirectSumVector,
     GnnAggregateOperator,
     Graph,
     GridFunction,
@@ -21,7 +20,6 @@ from picardop import (
     PicardConfig,
     banach_bounds,
     damped_solve,
-    direct_sum_norm,
     frechet_check,
     gnn_lipschitz_report,
     grid_uniform,
@@ -250,27 +248,25 @@ def test_criterion_6_gnn_contraction_certificate():
         assert rep.product == pytest.approx(0.9, abs=1e-9)
         assert rep.certified
 
-        f = DirectSumVector.from_matrix(rng.standard_normal((n, d)))
+        direct_sum = op.space.norm("direct-sum")
+        f = rng.standard_normal(n * d)
         tight = PicardConfig(lam=1.0, epsilon=1e-13, max_iter=50000,
                              norm_kind="direct-sum")
         reference, _ = picard_solve(op, tight, f)
         cfg = PicardConfig(lam=1.0, epsilon=eps, max_iter=20000,
                            norm_kind="direct-sum")
         for _ in range(10):
-            start = DirectSumVector.from_matrix(5 * rng.standard_normal((n, d)))
+            start = 5 * rng.standard_normal(n * d)
             sol, trace = picard_solve(op, cfg, f, x0=start)
-            gap = direct_sum_norm(DirectSumVector(
-                [a - b for a, b in zip(sol.blocks, reference.blocks)]))
+            gap = direct_sum(sol - reference)
             if not (trace.converged and gap <= 10 * eps):
                 convergence_failures += 1
 
         for _ in range(500):
-            F = DirectSumVector.from_matrix(rng.standard_normal((n, d)))
-            G2 = DirectSumVector.from_matrix(rng.standard_normal((n, d)))
-            lhs = direct_sum_norm(DirectSumVector(
-                [a - b for a, b in zip(op(F).blocks, op(G2).blocks)]))
-            gaps = np.array([np.linalg.norm(a - b)
-                             for a, b in zip(F.blocks, G2.blocks)])
+            F = rng.standard_normal((n, d))
+            G2 = rng.standard_normal((n, d))
+            lhs = direct_sum(op(F.ravel()) - op(G2.ravel()))
+            gaps = np.array([np.linalg.norm(a - b) for a, b in zip(F, G2)])
             rhs = rep.L * float(rep.coeffs @ gaps)
             lemma_checks += 1
             if lhs > rhs * (1 + 1e-12):

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from picardop import (
     AffineOperator,
     AttentionOperator,
-    DirectSumVector,
     GnnAggregateOperator,
     Graph,
     GridFunction,
@@ -416,28 +415,26 @@ class TestGnnAggregate:
         rng = np.random.default_rng(10)
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         op = GnnAggregateOperator(g, rng.standard_normal((3, 3)))
-        F = DirectSumVector([np.zeros(3)] * 4)
-        out = apply(op, F)
-        assert all(np.array_equal(b, np.zeros(3)) for b in out.blocks)
+        out = apply(op, np.zeros(12))
+        assert np.array_equal(out, np.zeros(12))
 
     def test_two_node_path_no_self(self):
         g = Graph(2, [(0, 1)], include_self=False)
         op = GnnAggregateOperator(g, np.eye(2))
-        out = apply(op, DirectSumVector([[1.0, -1.0], [-2.0, 3.0]]))
-        assert np.array_equal(out.blocks[0], [0.0, 3.0])
-        assert np.array_equal(out.blocks[1], [1.0, 0.0])
+        out = apply(op, np.array([1.0, -1.0, -2.0, 3.0]))
+        assert np.array_equal(out, [0.0, 3.0, 1.0, 0.0])
 
     def test_single_node_with_self(self):
         g = Graph(1, [], include_self=True)
         op = GnnAggregateOperator(g, np.eye(2))
-        out = apply(op, DirectSumVector([[-1.0, 2.0]]))
-        assert np.array_equal(out.blocks[0], [0.0, 2.0])
+        out = apply(op, np.array([-1.0, 2.0]))
+        assert np.array_equal(out, [0.0, 2.0])
 
     def test_isolated_node_zero_block(self):
         g = Graph(3, [(0, 1)], include_self=False)
         op = GnnAggregateOperator(g, np.eye(2))
-        out = apply(op, DirectSumVector([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]]))
-        assert np.array_equal(out.blocks[2], [0.0, 0.0])
+        out = apply(op, np.array([1.0, 1.0, 2.0, 2.0, 5.0, 5.0]))
+        assert np.array_equal(out[4:], [0.0, 0.0])
 
     def test_monotone_for_identity_weights(self):
         rng = np.random.default_rng(12)
@@ -445,11 +442,11 @@ class TestGnnAggregate:
         op = GnnAggregateOperator(g, np.eye(3))
         for _ in range(100):
             F = rng.standard_normal((5, 3))
-            base = apply(op, DirectSumVector.from_matrix(F)).stacked()
+            base = apply(op, F.ravel())
             i, j = rng.integers(0, 5), rng.integers(0, 3)
             F2 = F.copy()
             F2[i, j] += rng.uniform(0, 2)
-            bumped = apply(op, DirectSumVector.from_matrix(F2)).stacked()
+            bumped = apply(op, F2.ravel())
             assert np.all(bumped >= base - 1e-15)
 
     @given(st.data())
@@ -464,22 +461,24 @@ class TestGnnAggregate:
         entries = st.integers(-8, 8).map(float)
         W = data.draw(arrays(np.float64, (d, d), elements=entries))
         F = data.draw(arrays(np.float64, (n, d), elements=entries))
-        out = apply(GnnAggregateOperator(g, W), DirectSumVector.from_matrix(F))
-        assert out.block_dims == (d,) * n
+        op = GnnAggregateOperator(g, W)
+        out = apply(op, op.space.wrap(F))
+        assert op.space.block_dims == (d,) * n and out.shape == (n * d,)
         for v in range(n):
             messages = [np.maximum(W @ F[i], 0.0) for i in g.neighborhood(v)]
             want = np.max(messages, axis=0) if messages else np.zeros(d)
-            assert out.blocks[v].tolist() == want.tolist()
+            assert out[v * d:(v + 1) * d].tolist() == want.tolist()
 
     def test_block_count_mismatch(self):
         g = Graph(2, [(0, 1)])
         op = GnnAggregateOperator(g, np.eye(2))
-        with pytest.raises(ValueError):
-            apply(op, DirectSumVector([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"expected an array of 4 flat values, got \(2,\)"):
+            apply(op, np.array([1.0, 2.0]))
 
 
 def operator_and_input(family, rng):
-    """An operator of ``family`` and an input in its domain's vector type."""
+    """An operator of ``family`` and an input in its domain's vector type (flat
+    block values for gnn, made from a matrix by the operator's space)."""
     if family == "affine":
         d = int(rng.integers(1, 9))
         return (AffineOperator(rng.standard_normal((d, d)), rng.standard_normal(d)),
@@ -491,8 +490,8 @@ def operator_and_input(family, rng):
         n, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
         edges = rng.integers(0, n, (2 * n, 2))
         graph = Graph(n, edges[edges[:, 0] != edges[:, 1]], include_self=bool(rng.integers(2)))
-        return (GnnAggregateOperator(graph, rng.standard_normal((d, d))),
-                DirectSumVector.from_matrix(rng.standard_normal((n, d))))
+        op = GnnAggregateOperator(graph, rng.standard_normal((d, d)))
+        return op, op.space.wrap(rng.standard_normal((n, d)))
     n = int(rng.integers(2, 40))
     grid = grid_uniform(0.0, 1.0, n)
     kernel = (make_kernel("table", table=rng.standard_normal((n, n))) if family == "table"
@@ -520,9 +519,9 @@ class TestFlatValues:
     @pytest.mark.parametrize("family", ["table", "gnn"])
     def test_wrong_flat_shape_is_value_error(self, family):
         op, x = operator_and_input(family, np.random.default_rng(3))
-        values = x.values
+        values = getattr(x, "values", x)
         other = (GridFunction(grid_uniform(0, 1, values.size), values) if family == "gnn"
-                 else DirectSumVector([values]))
+                 else tuple(values))
         for bad in (values[:-1], np.append(values, 0.0), values[:, None], values[0],
                     values.tolist(), other):
             with pytest.raises(ValueError, match="flat values"):
@@ -562,11 +561,10 @@ def _outside_the_space(case):
     family, branch = case.split(":")
     x = {
         "wrong-grid": GridFunction(grid_uniform(0, 2, 4), np.ones(4)),
-        "wrong-block-count": DirectSumVector([[1.0, 2.0]]),
-        "mixed-block-dims": DirectSumVector([[1.0], [1.0, 2.0, 3.0]]),
+        "wrong-block-count": np.ones(2),
         "wrong-flat-shape": {"affine": np.ones(4), "attention": np.ones((3, 4)),
                              "hammerstein": np.ones(3), "gnn": np.ones((2, 2))}[family],
-        "wrong-type": (DirectSumVector([np.ones(4)]) if family in ("hammerstein", "attention")
+        "wrong-type": ([np.ones(4)] if family == "hammerstein"
                        else GridFunction(grid, np.ones(4))),
     }[branch]
     return ops[family], x
@@ -577,12 +575,11 @@ class TestSpace:
         ("affine:wrong-flat-shape", r"expected an array of 3 flat values, got \(4,\)"),
         ("affine:wrong-type", "expected an array of 3 flat values, got GridFunction"),
         ("attention:wrong-flat-shape", r"expected an array of m x 2 flat values, got \(3, 4\)"),
-        ("attention:wrong-type", "expected an array of m x 2 flat values, got DirectSumVector"),
+        ("attention:wrong-type", "expected an array of m x 2 flat values, got GridFunction"),
         ("hammerstein:wrong-grid", "input must be a GridFunction on the operator's grid"),
         ("hammerstein:wrong-flat-shape", r"expected an array of 4 flat values, got \(3,\)"),
-        ("hammerstein:wrong-type", "expected an array of 4 flat values, got DirectSumVector"),
-        ("gnn:wrong-block-count", "expected 2 blocks, got 1"),
-        ("gnn:mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
+        ("hammerstein:wrong-type", "expected an array of 4 flat values, got list"),
+        ("gnn:wrong-block-count", r"expected an array of 4 flat values, got \(2,\)"),
         ("gnn:wrong-flat-shape", r"expected an array of 4 flat values, got \(2, 2\)"),
         ("gnn:wrong-type", "expected an array of 4 flat values, got GridFunction"),
     ])
@@ -633,12 +630,29 @@ class TestApply:
             apply(op, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
+COMPLEX_CASES = {
+    "hammerstein-apply": lambda: HammersteinOperator(
+        grid_uniform(0, 1, 5), make_kernel("table", table=np.eye(5)))(np.ones(5, dtype=complex)),
+    "affine-apply": lambda: AffineOperator(0.5 * np.eye(2))(np.ones(2, dtype=complex)),
+    "picard-solve": lambda: picard_solve(AffineOperator(0.5 * np.eye(2)),
+                                         PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50),
+                                         (1 + 1j) * np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("case", COMPLEX_CASES)
+def test_complex_values_are_refused_not_cast(case):
+    # a complex value lies in no space: neither mapped to a complex output nor
+    # cut to its real part with only a ComplexWarning
+    with pytest.raises(ValueError, match=r"^expected real values, got dtype complex128$"):
+        COMPLEX_CASES[case]()
+
+
 CFG = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
 PUBLIC_ENTRIES = {
     "picard_solve": lambda fn: picard_solve(fn, CFG, np.ones(2)),
     "damped_solve": lambda fn: damped_solve(fn, 0.5, np.ones(2), 1e-12, 50),
-    "pign_embed": lambda fn: pign_embed(fn, DirectSumVector.from_matrix(np.ones((2, 2))),
-                                        0.5, 10, 1e-12),
+    "pign_embed": lambda fn: pign_embed(fn, np.ones(4), 0.5, 10, 1e-12),
     "residual": lambda fn: residual(fn, 1.0, np.ones(2), np.ones(2)),
     "uniqueness_check": lambda fn: uniqueness_check(fn, CFG, np.ones(2),
                                                     (np.ones(2), np.zeros(2))),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from picardop import (
     AffineOperator,
     AttentionOperator,
-    DirectSumVector,
     GnnAggregateOperator,
     Graph,
     GridFunction,
@@ -36,7 +35,7 @@ from picardop.cli import RATES_ROUNDING
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 from picardop.operators import neighborhood_membership_counts, norm_in
 from picardop.picard import TRACE_CSV_HEADER
-from picardop.spaces import NORM_KINDS, flatten_values, unflatten_like
+from picardop.spaces import NORM_KINDS
 
 
 class UserMap(Operator):
@@ -146,11 +145,13 @@ class TestPicardSolve:
         assert np.array_equal(x, full_x) and trace.steps == full.steps
 
 
-def oracle_norm(x, kind):
-    """The norm as a Python sum of per-block np.linalg.norm calls."""
-    if kind == "direct-sum" and isinstance(x, DirectSumVector):
-        return float(sum(np.linalg.norm(b) for b in x.blocks))
+def oracle_norm(x, kind, block_dims=None):
+    """The norm as a Python sum of np.linalg.norm calls on the blocks of ``block_dims``."""
     values = x if isinstance(x, np.ndarray) else x.values
+    if kind == "direct-sum" and block_dims is not None:
+        ends = np.cumsum(block_dims)
+        return float(sum(np.linalg.norm(values[end - d:end])
+                         for d, end in zip(block_dims, ends)))
     return float(np.max(np.abs(values)) if kind == "sup" else np.linalg.norm(values.ravel()))
 
 
@@ -162,12 +163,12 @@ def oracle_lincomb(a, x, b, y):
 
 def oracle_solve(op, cfg, f):
     """The Picard loop on vector objects: an apply, four combinations and two norms a step."""
-    alpha, y, steps = cfg.smoothing, f, []
+    alpha, y, steps, dims = cfg.smoothing, f, [], op.space.block_dims
     for _ in range(cfg.max_iter):
         target = oracle_lincomb(cfg.lam, op(y), 1.0, f)
-        resid = oracle_norm(oracle_lincomb(1.0, target, -1.0, y), cfg.norm_kind)
+        resid = oracle_norm(oracle_lincomb(1.0, target, -1.0, y), cfg.norm_kind, dims)
         y_next = target if alpha == 0.0 else oracle_lincomb(alpha, y, 1.0 - alpha, target)
-        step = oracle_norm(oracle_lincomb(1.0, y_next, -1.0, y), cfg.norm_kind)
+        step = oracle_norm(oracle_lincomb(1.0, y_next, -1.0, y), cfg.norm_kind, dims)
         steps.append((step, resid))
         y = y_next
         if step <= cfg.epsilon:
@@ -193,8 +194,8 @@ def random_problem(family, rng):
         W = rescale_to_contraction(rng.standard_normal((d, d)), alpha_max,
                                    rng.uniform(0.3, 0.95))
         scale = 10.0 ** rng.uniform(-4, 4)
-        return (GnnAggregateOperator(graph, W),
-                DirectSumVector.from_matrix(scale * rng.standard_normal((n, d))))
+        op = GnnAggregateOperator(graph, W)
+        return op, op.space.wrap(scale * rng.standard_normal((n, d)))
     n = int(rng.integers(3, 80))
     grid = grid_uniform(0.0, 1.0, n)
     if family == "table":
@@ -252,7 +253,7 @@ class TestFlatArrayLoop:
             "attention": lambda: (AttentionOperator([[1e300]], [[1.0]], [[1.0]]),
                                   np.array([[1e10]])),
             "gnn": lambda: (GnnAggregateOperator(Graph(2, [(0, 1)]), [[1e300]]),
-                            DirectSumVector.from_matrix([[1e10], [2.0]])),
+                            np.array([1e10, 2.0])),
             "table": lambda: (HammersteinOperator(grid, make_kernel("table",
                                                                    table=np.full((3, 3), 1e300))),
                               GridFunction(grid, [1e10, 1.0, 1.0])),
@@ -288,7 +289,6 @@ class TestFlatArrayLoop:
     @pytest.mark.parametrize("solver", ["picard", "damped"])
     @pytest.mark.parametrize("case, message", [
         ("other-grid-same-n", "input must be a GridFunction on the operator's grid"),
-        ("mixed-block-dims", r"expected blocks of dim 2, got \(1, 3\)"),
         ("grid-function-to-gnn", "expected an array of 4 flat values, got GridFunction"),
     ])
     def test_start_outside_the_domain_is_refused(self, solver, case, message):
@@ -299,7 +299,6 @@ class TestFlatArrayLoop:
             "other-grid-same-n": lambda: (
                 HammersteinOperator(grid_uniform(0, 1, 11), make_kernel("separable-linear")),
                 GridFunction(grid_uniform(0, 2, 11), np.ones(11))),
-            "mixed-block-dims": lambda: (gnn, DirectSumVector([[1.0], [1.0, 2.0, 3.0]])),
             "grid-function-to-gnn": lambda: (gnn, GridFunction(grid_uniform(0, 1, 4),
                                                                np.ones(4))),
         }[case]()
@@ -458,10 +457,9 @@ def contraction_cases(draw, max_rate=0.95, smoothing=True):
     (alpha = 0 unless ``smoothing``).
 
     Affine maps contract by sigma_1(A) in L2 and by the max row sum of |A| in
-    sup; gnn maps by sigma_1(W) * alpha_max in direct-sum, given as flat
-    values or as DirectSumVectors.
+    sup; gnn maps by sigma_1(W) * alpha_max in direct-sum, on flat block values.
     """
-    case = draw(st.sampled_from(["affine-L2", "affine-sup", "gnn-flat", "gnn-blocks"]))
+    case = draw(st.sampled_from(["affine-L2", "affine-sup", "gnn"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
     rate = draw(st.floats(0.05, max_rate))
@@ -481,13 +479,10 @@ def contraction_cases(draw, max_rate=0.95, smoothing=True):
         alpha_max = max(int(np.diff(graph.indptr).max()), 1)
         W = rng.standard_normal((d, d))
         op = GnnAggregateOperator(graph, W * (k_T / (spectral_norm(W) * alpha_max)))
-        f = DirectSumVector.from_matrix(rng.standard_normal((n, d)))
-        f = f.values if case == "gnn-flat" else f
+        f = rng.standard_normal(n * d)
         norm_kind = "direct-sum"
     k_map = alpha + (1.0 - alpha) * abs(lam) * k_T
-    size = flatten_values(f).size
-    starts = tuple(unflatten_like(f, 10.0 ** rng.uniform(-1, 1) * rng.standard_normal(size))
-                   for _ in range(2))
+    starts = tuple(10.0 ** rng.uniform(-1, 1) * rng.standard_normal(f.size) for _ in range(2))
     return op, f, starts, PicardConfig(lam, 1e-7, 10000, alpha, norm_kind), k_map
 
 
@@ -562,22 +557,23 @@ class TestBanachBounds:
 
     def test_flat_and_structured_forms_give_one_actual_error_column(self):
         # a gnn solved under direct-sum measures its actual errors by blocks, as
-        # its steps and bounds, from either start and against either reference
+        # its steps and bounds, from a flat start or one made from its (n, d)
+        # matrix, and against either reference
         rng = np.random.default_rng(36)
         graph = Graph(6, [(i, i + 1) for i in range(5)])
         alpha_max = int(neighborhood_membership_counts(graph).max())
         op = GnnAggregateOperator(
             graph, rescale_to_contraction(rng.standard_normal((2, 2)), alpha_max, 0.8))
-        f = DirectSumVector.from_matrix(rng.standard_normal((6, 2)))
+        M = rng.standard_normal((6, 2))
         cfg = PicardConfig(lam=1.0, epsilon=1e-8, max_iter=500, norm_kind="direct-sum")
-        reference, _ = picard_solve(op, dataclasses.replace(cfg, epsilon=1e-14), f)
+        reference, _ = picard_solve(op, dataclasses.replace(cfg, epsilon=1e-14), M.ravel())
         flat, blocks = (picard_solve(op, cfg, start, record_iterates=True)[1]
-                        for start in (f.values, f))
+                        for start in (M.ravel(), op.space.wrap(M)))
         assert (flat.space, flat.norm_kind) == (op.space, "direct-sum")
-        expected = [norm(lincomb(1.0, x, -1.0, reference), "direct-sum")
-                    for x in blocks.iterates]
+        expected = [op.space.norm("direct-sum")(x - reference) for x in blocks.iterates]
+        assert expected != [norm(x - reference) for x in blocks.iterates]
         for trace in (flat, blocks):
-            for ref in (reference, reference.values):
+            for ref in (reference, op.space.wrap(reference.reshape(6, 2))):
                 assert [r.actual_error for r in banach_bounds(trace, 0.8, ref)] == expected
 
     def test_actual_errors_need_recorded_iterates(self):
@@ -740,22 +736,22 @@ class TestTheOperatorsSpaceDecidesTheNorm:
     @pytest.mark.parametrize("function", ["picard_solve", "residual", "uniqueness_check",
                                           "lipschitz_sample"])
     def test_flat_and_structured_gnn_values_give_equal_numbers(self, function):
-        # under direct-sum a gnn measures flat values by its blocks, as it does
-        # their DirectSumVector
+        # under direct-sum a gnn measures flat values by its blocks, whether
+        # they were given flat or made by its space from the (n, d) matrix
         rng = np.random.default_rng(31)
         op = GnnAggregateOperator(Graph(3, [(0, 1), (1, 2)]),
                                   rescale_to_contraction(rng.standard_normal((2, 2)), 3, 0.8))
-        F, G = (DirectSumVector.from_matrix(rng.standard_normal((3, 2))) for _ in range(2))
+        F, G = (op.space.wrap(rng.standard_normal((3, 2))) for _ in range(2))
         cfg = PicardConfig(lam=0.9, epsilon=1e-10, max_iter=500, norm_kind="direct-sum")
         run = {
             "picard_solve": lambda f, g: picard_solve(op, cfg, f)[1].steps,
             "residual": lambda f, g: residual(op, 0.9, f, g, "direct-sum"),
             "uniqueness_check": lambda f, g: uniqueness_check(op, cfg, f, (f, g)),
             "lipschitz_sample": lambda f, g: lipschitz_sample(
-                op, lambda r: unflatten_like(f, r.standard_normal(6)), 20,
+                op, lambda r: r.standard_normal(6), 20,
                 norm_kind="direct-sum", extra_pairs=[(f, g)]).value,
         }[function]
-        assert run(F, G) == run(F.values, G.values)
+        assert run(F, G) == run(np.array(F), np.array(G))
 
 
 class TestTraceCsv:

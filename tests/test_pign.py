@@ -1,13 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from picardop import (
-    DirectSumVector,
     GnnAggregateOperator,
     Graph,
     add_dropin_noise,
     apply,
-    direct_sum_norm,
     gnn_lipschitz_report,
     neighborhood_membership_counts,
     pign_embed,
@@ -19,7 +19,6 @@ from picardop import (
 from picardop.errors import ConfigError
 from picardop.picard import _iterate
 from picardop.pign import report_csv_text
-from picardop.spaces import zero_like
 
 
 def experiment_config(**overrides):
@@ -52,9 +51,20 @@ class TestPlantedPartition:
         b = planted_partition(200, 8, 0.1, 0.01, 2.0, seed=7)
         assert np.array_equal(a.graph.indptr, b.graph.indptr)
         assert np.array_equal(a.graph.indices, b.graph.indices)
-        assert np.array_equal(a.features.stacked(), b.features.stacked())
+        assert np.array_equal(a.features, b.features)
         c = planted_partition(200, 8, 0.1, 0.01, 2.0, seed=8)
-        assert not np.array_equal(a.features.stacked(), c.features.stacked())
+        assert not np.array_equal(a.features, c.features)
+
+    def test_features_are_read_only_flat_block_values(self):
+        ds = planted_partition(6, 3, 0.5, 0.1, 2.0, seed=1)
+        assert type(ds.features) is np.ndarray and ds.features.shape == (18,)
+        assert not ds.features.flags.writeable
+        # node v's block is entries v*d .. v*d + d - 1, with the class mean on the first
+        rng = np.random.default_rng(1)
+        rng.random((6, 6))
+        means = np.zeros((6, 3))
+        means[:, 0] = (2 * ds.labels - 1) * 1.0
+        assert ds.features.tolist() == (means + rng.standard_normal((6, 3))).ravel().tolist()
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_edges_match_pairwise_coin_flips(self, seed):
@@ -73,7 +83,7 @@ class TestPlantedPartition:
 
     def test_class_mean_separation(self):
         ds = planted_partition(2000, 4, 0.01, 0.005, 6.0, seed=5)
-        X = ds.features.stacked()
+        X = ds.features.reshape(2000, 4)
         gap = X[ds.labels == 1, 0].mean() - X[ds.labels == 0, 0].mean()
         assert gap == pytest.approx(6.0, abs=0.2)
 
@@ -94,38 +104,44 @@ class TestPlantedPartition:
 class TestDropinNoise:
     def test_zero_fraction_is_identity(self):
         rng = np.random.default_rng(0)
-        X = DirectSumVector.from_matrix(rng.standard_normal((5, 3)))
+        X = rng.standard_normal(15)
         out = add_dropin_noise(X, 0.0, 1.0, seed=1)
-        assert np.array_equal(out.stacked(), X.stacked())
+        assert np.array_equal(out, X) and out is not X
 
     def test_full_fraction_hits_every_entry(self):
         rng = np.random.default_rng(1)
-        X = DirectSumVector.from_matrix(rng.standard_normal((4, 3)))
+        X = rng.standard_normal(12)
         out = add_dropin_noise(X, 1.0, 2.5, seed=2)
-        assert np.allclose(out.stacked(), X.stacked() + 2.5)
+        assert np.allclose(out, X + 2.5)
 
     def test_exact_count_and_magnitude(self):
         rng = np.random.default_rng(2)
-        X = DirectSumVector.from_matrix(rng.standard_normal((20, 5)))  # 100 entries
+        X = rng.standard_normal(100)
         out = add_dropin_noise(X, 0.5, 3.0, seed=3)
-        delta = out.stacked() - X.stacked()
+        delta = out - X
         changed = delta != 0
         assert int(changed.sum()) == 50
         assert np.allclose(delta[changed], 3.0)
 
     def test_floor_count(self):
-        X = DirectSumVector.from_matrix(np.zeros((3, 3)))  # 9 entries
+        X = np.zeros(9)
         out = add_dropin_noise(X, 0.5, 1.0, seed=4)
-        assert int((out.stacked() != 0).sum()) == 4  # floor(4.5)
+        assert int((out != 0).sum()) == 4  # floor(4.5)
 
     def test_deterministic(self):
-        X = DirectSumVector.from_matrix(np.zeros((6, 6)))
+        X = np.zeros(36)
         a = add_dropin_noise(X, 0.3, 1.0, seed=5)
         b = add_dropin_noise(X, 0.3, 1.0, seed=5)
-        assert np.array_equal(a.stacked(), b.stacked())
+        assert np.array_equal(a, b)
+
+    def test_returns_a_read_only_copy_of_the_input_shape(self):
+        for X in (np.zeros(6), np.zeros((2, 3))):
+            out = add_dropin_noise(X, 0.5, 1.0, seed=6)
+            assert type(out) is np.ndarray and out.shape == X.shape
+            assert not out.flags.writeable and not X.any()
 
     def test_validation(self):
-        X = DirectSumVector.from_matrix(np.zeros((2, 2)))
+        X = np.zeros(4)
         with pytest.raises(ValueError):
             add_dropin_noise(X, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
@@ -143,19 +159,19 @@ class TestPignEmbed:
         rng = np.random.default_rng(10)
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         op = certified_operator(rng, g, 3)
-        X = DirectSumVector.from_matrix(rng.standard_normal((4, 3)))
+        X = rng.standard_normal(12)
         emb, trace = pign_embed(op, X, alpha=1.0, n=50, epsilon=1e-9)
         assert trace.converged
         assert trace.iterations_used == 1
-        assert np.array_equal(emb.stacked(), X.stacked())
+        assert np.array_equal(emb, X)
 
     def test_zero_features_stay_zero(self):
         rng = np.random.default_rng(11)
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         op = certified_operator(rng, g, 2)
-        X = DirectSumVector.from_matrix(np.zeros((5, 2)))
+        X = np.zeros(10)
         emb, trace = pign_embed(op, X, alpha=0.5, n=20, epsilon=1e-12)
-        assert direct_sum_norm(emb) == 0.0
+        assert op.space.norm("direct-sum")(emb) == 0.0
         assert trace.converged
 
     def test_step_ratio_bounded_by_damped_contraction(self):
@@ -165,7 +181,7 @@ class TestPignEmbed:
         report = gnn_lipschitz_report(op)
         alpha = 0.5
         bound = alpha + (1 - alpha) * report.product + 1e-6
-        X = DirectSumVector.from_matrix(rng.standard_normal((3, 2)))
+        X = rng.standard_normal(6)
         _, trace = pign_embed(op, X, alpha=alpha, n=200, epsilon=1e-8)
         steps = trace.step_norms
         for i in range(1, len(steps) - 1):
@@ -177,10 +193,10 @@ class TestPignEmbed:
         rng = np.random.default_rng(13)
         g = Graph(4, [(0, 1), (0, 2), (2, 3)])
         op = certified_operator(rng, g, 3)
-        X = DirectSumVector.from_matrix(rng.standard_normal((4, 3)))
+        X = rng.standard_normal(12)
         emb, trace = pign_embed(op, X, alpha=0.3, n=25, epsilon=1e-10)
-        emb2, trace2 = _iterate(op, 1.0, zero_like(X), 0.3, X, 1e-10, 25, "direct-sum")
-        assert np.array_equal(emb.stacked(), emb2.stacked())
+        emb2, trace2 = _iterate(op, 1.0, np.zeros(12), 0.3, X, 1e-10, 25, "direct-sum")
+        assert np.array_equal(emb, emb2)
         assert trace.iterations_used == trace2.iterations_used
         assert [s.step_norm for s in trace.steps] == [s.step_norm for s in trace2.steps]
 
@@ -188,7 +204,7 @@ class TestPignEmbed:
         rng = np.random.default_rng(14)
         g = Graph(3, [(0, 1), (1, 2)])
         op = GnnAggregateOperator(g, 5.0 * np.eye(2))
-        X = DirectSumVector.from_matrix(rng.standard_normal((3, 2)))
+        X = rng.standard_normal(6)
         with pytest.warns(UserWarning, match="not contraction-certified"):
             pign_embed(op, X, alpha=0.5, n=3, epsilon=1e-6)
 
@@ -196,10 +212,10 @@ class TestPignEmbed:
         rng = np.random.default_rng(15)
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         op = certified_operator(rng, g, 2)
-        X = DirectSumVector.from_matrix(rng.standard_normal((4, 2)))
+        X = rng.standard_normal(8)
         emb, trace = pign_embed(op, X, alpha=0.5, n=500, epsilon=1e-12, anchor=X)
         assert trace.converged
-        assert direct_sum_norm(emb) > 0.1
+        assert op.space.norm("direct-sum")(emb) > 0.1
 
 
 class TestLogisticReadout:
@@ -237,19 +253,22 @@ class TestLogisticReadout:
         assert acc == expected
 
     def test_accepts_direct_sum_embeddings(self):
-        # blocks of one dim read as the same (n, d) matrix from either constructor
+        # flat block values reshaped by their space read as the matrix they came from
         rng = np.random.default_rng(22)
         M = rng.standard_normal((20, 3))
         y = np.repeat([0, 1], 10)
+        op = GnnAggregateOperator(Graph(20), np.eye(3))
+        flat = op.space.wrap(M)
         (w, acc), *rest = (train_logistic_readout(X, y, split_seed=3, lr=0.5, epochs=50)
-                           for X in (M, DirectSumVector.from_matrix(M), DirectSumVector(list(M))))
+                           for X in (M, flat.reshape(op.space.shape), M.tolist()))
         assert 0.0 <= acc <= 1.0
         assert all(a == acc and np.array_equal(v, w) for v, a in rest)
 
     def test_mixed_block_dims_are_refused(self):
-        X = DirectSumVector([[1.0], [1.0, 2.0], [3.0]])
-        with pytest.raises(ValueError, match=r"^embeddings must be \(n, d\) or blocks of one dim, "
-                                             r"got \(4,\)$"):
+        # blocks of dims (1, 2, 1) have no (n, d) matrix: their flat values are refused
+        X = np.array([1.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"^embeddings must be an \(n, d\) matrix, "
+                                             r"got shape \(4,\)$"):
             train_logistic_readout(X, np.array([0, 1, 0]))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
@@ -339,6 +358,19 @@ class TestExperiment:
                                      readout={"lr": 0.5, "epochs": 500, "split_seed": 0})
         assert (report_csv_text(run_pign_experiment(cfg, seeds=[3]))
                 == report_csv_text(run_pign_experiment(defaults, seeds=[3])))
+
+    def test_embeddings_are_flat_block_values_read_reshaped_by_the_readout(self):
+        cfg = experiment_config(readout={"epochs": 50})
+        n, d = cfg["dataset"]["n"], cfg["dataset"]["d"]
+        results = run_pign_experiment(cfg, seeds=[0, 1])
+        labels = np.repeat([0, 1], n // 2)
+        reread = []
+        for r in results:
+            assert type(r.embeddings) is np.ndarray and r.embeddings.shape == (n * d,)
+            _, acc = train_logistic_readout(r.embeddings.reshape(n, d), labels,
+                                            300 + r.seed, 0.5, 50)
+            reread.append(dataclasses.replace(r, readout_accuracy=acc))
+        assert report_csv_text(reread) == report_csv_text(results)
 
     def test_csv_written(self, tmp_path):
         cfg = experiment_config()

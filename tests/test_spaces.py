@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -7,21 +8,26 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from picardop import (
-    DirectSumVector,
+    GnnAggregateOperator,
+    Graph,
     Grid,
     GridFunction,
-    direct_sum_norm,
     flatten_values,
     grid_from_json,
     grid_uniform,
     lincomb,
     load_matrix_text,
     norm,
-    unflatten_like,
-    zero_like,
 )
 from picardop.errors import NonFiniteError
 from picardop.spaces import Space, require_finite
+
+
+def block_space(dims):
+    """The space of blocks of ``dims``, of shape (n, d) for n blocks of one dim d."""
+    dims = tuple(dims)
+    uniform = dims.count(dims[0]) == len(dims)
+    return Space((len(dims), dims[0]) if uniform else (sum(dims),), block_dims=dims)
 
 
 class TestGridUniform:
@@ -139,10 +145,10 @@ class TestNorms:
             y = rng.standard_normal(6)
             for kind in ("discrete-L2", "sup"):
                 assert norm(x + y, kind) <= norm(x, kind) + norm(y, kind) + 1e-12
-            dx = DirectSumVector([x[:3], x[3:]])
-            dy = DirectSumVector([y[:3], y[3:]])
-            lhs = direct_sum_norm(lincomb(1.0, dx, 1.0, dy))
-            assert lhs <= direct_sum_norm(dx) + direct_sum_norm(dy) + 1e-12
+            space = block_space((3, 3))
+            direct_sum = space.norm("direct-sum")
+            lhs = direct_sum(space.lincomb(1.0, x, 1.0, y))
+            assert lhs <= direct_sum(x) + direct_sum(y) + 1e-12
 
     def test_homogeneity(self):
         rng = np.random.default_rng(8)
@@ -156,41 +162,42 @@ class TestNorms:
 
 
 class TestDirectSum:
+    """The direct-sum norm of a block space: the sum of its blocks' L2 norms."""
+
     def test_zero_blocks(self):
-        assert direct_sum_norm(DirectSumVector([np.zeros(3), np.zeros(2)])) == 0.0
+        assert block_space((3, 2)).norm("direct-sum")(np.zeros(5)) == 0.0
 
     def test_componentwise_sum(self):
-        x = DirectSumVector([[3.0, 4.0], [0.0, 1.0]])
-        assert direct_sum_norm(x) == 6.0
+        assert block_space((2, 2)).norm("direct-sum")(np.array([3.0, 4.0, 0.0, 1.0])) == 6.0
 
     def test_single_block_reduces_to_l2(self):
         v = np.array([1.0, -2.0, 2.0])
-        assert direct_sum_norm(DirectSumVector([v])) == norm(v, "discrete-L2")
+        assert block_space((3,)).norm("direct-sum")(v) == norm(v, "discrete-L2")
 
     def test_concatenation_additivity(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            bx = [rng.standard_normal(rng.integers(1, 5)) for _ in range(3)]
-            by = [rng.standard_normal(rng.integers(1, 5)) for _ in range(2)]
-            x = DirectSumVector(bx)
-            y = DirectSumVector(by)
-            both = DirectSumVector(bx + by)
-            total = direct_sum_norm(both)
-            assert abs(total - (direct_sum_norm(x) + direct_sum_norm(y))) <= 1e-12 * max(total, 1.0)
+            dx = [int(d) for d in rng.integers(1, 5, 3)]
+            dy = [int(d) for d in rng.integers(1, 5, 2)]
+            x, y = rng.standard_normal(sum(dx)), rng.standard_normal(sum(dy))
+            total = block_space(dx + dy).norm("direct-sum")(np.concatenate([x, y]))
+            parts = block_space(dx).norm("direct-sum")(x) + block_space(dy).norm("direct-sum")(y)
+            assert abs(total - parts) <= 1e-12 * max(total, 1.0)
 
     def test_block_dims_validated(self):
-        with pytest.raises(ValueError):
-            DirectSumVector([[1.0, 2.0]], block_dims=[3])
+        with pytest.raises(ValueError, match=r"^expected 3 flat values for block dims \(3,\)"):
+            block_space((3,)).wrap([1.0, 2.0])
 
     def test_stacked_requires_uniform(self):
-        with pytest.raises(ValueError):
-            DirectSumVector([[1.0], [1.0, 2.0]]).stacked()
+        # only blocks of one dim have an (n, d) matrix form
+        with pytest.raises(ValueError, match=r"got shape \(1, 3\)$"):
+            block_space((1, 2)).wrap(np.ones((1, 3)))
 
     def test_uniform_blocks_have_the_matrix_shape_from_both_constructors(self):
-        M = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-        assert DirectSumVector(M).space.shape == (3, 2)
-        assert DirectSumVector.from_matrix(M).space.shape == (3, 2)
-        assert DirectSumVector([[1.0], [1.0, 2.0]]).space.shape == (3,)
+        gnn_space = GnnAggregateOperator(Graph(3), np.eye(2)).space
+        assert gnn_space.shape == block_space((2, 2, 2)).shape == (3, 2)
+        assert gnn_space.flat_shape == (6,)
+        assert block_space((1, 2)).shape == block_space((1, 2)).flat_shape == (3,)
 
 
 class TestSpace:
@@ -207,6 +214,39 @@ class TestSpace:
     def test_plain_wrap_gives_a_float_array_with_any_free_row_count(self):
         out = Space((None, 2)).wrap([[1, 2], [3, 4], [5, 6]])
         assert out.dtype == np.float64 and out.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+    def test_block_wrap_gives_a_read_only_flat_copy_of_flat_values_or_the_matrix(self):
+        space = block_space((2, 2, 2))
+        M = np.arange(6.0).reshape(3, 2)
+        for values in (M.ravel(), M, M.tolist()):
+            out = space.wrap(values)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.shape == (6,) and out.tolist() == M.ravel().tolist()
+            assert not out.flags.writeable and not np.shares_memory(out, M)
+        assert space.values(out) is out
+
+    @pytest.mark.parametrize("values", [np.ones(5), np.ones((2, 3)), np.ones((3, 2, 1))])
+    def test_block_wrap_names_the_expected_size(self, values):
+        message = f"expected 6 flat values for block dims (2, 2, 2), got shape {values.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            block_space((2, 2, 2)).wrap(values)
+
+    def test_block_wrap_refuses_non_finite_values(self):
+        for values in ([1.0, np.nan, 0.0, 1.0, 2.0, 3.0], [[1.0, 2.0], [np.inf, 0.0], [0.0, 0.0]]):
+            with pytest.raises(NonFiniteError, match=r"^block values must be finite"):
+                block_space((2, 2, 2)).wrap(values)
+
+    @pytest.mark.parametrize("space", [Space((2,)), Space((None, 2)), block_space((1, 1)),
+                                       Space((2,), grid=grid_uniform(0, 1, 2))],
+                             ids=["plain", "free-rows", "blocks", "grid"])
+    def test_complex_values_are_refused_by_name(self, space):
+        message = r"^expected real values, got dtype complex128$"
+        for values in (np.ones(2, dtype=complex), [1.0, 1j]):
+            with pytest.raises(ValueError, match=message):
+                space.wrap(values if space.shape[0] is not None else [values])
+        x = np.ones(2, dtype=complex) if space.shape[0] is not None else np.ones((3, 2), complex)
+        with pytest.raises(ValueError, match=message):
+            space.values(x)
 
 
 BLOCK_DIMS = st.one_of(
@@ -228,66 +268,66 @@ def direct_sum_pairs(draw):
 
 
 class TestFlatStorageMatchesPerBlockReference:
-    """The flat-array DirectSumVector against per-block arithmetic, compared with ==."""
+    """Flat block values of a block space against per-block arithmetic, compared with ==."""
 
     @given(direct_sum_pairs())
     def test_layout_and_read_only_views(self, case):
         bx, _, _, _ = case
-        x = DirectSumVector(bx)
-        assert x.block_dims == tuple(b.size for b in bx)
-        assert x.values.tolist() == [v for b in bx for v in b]
-        assert not x.values.flags.writeable
-        for block, ref in zip(x.blocks, bx, strict=True):
-            assert block.tolist() == ref.tolist()
-            assert not block.flags.writeable
-        if x.is_uniform():
-            assert x.stacked().tolist() == [b.tolist() for b in bx]
+        space = block_space([b.size for b in bx])
+        x = space.wrap(np.concatenate(bx))
+        assert x.tolist() == [v for b in bx for v in b]
+        assert not x.flags.writeable
+        ends = np.cumsum(space.block_dims)
+        for d, end, ref in zip(space.block_dims, ends, bx, strict=True):
+            assert x[end - d:end].tolist() == ref.tolist()
+        if len(space.shape) == 2:
+            assert x.reshape(space.shape).tolist() == [b.tolist() for b in bx]
+            assert space.wrap(np.array(bx)).tolist() == x.tolist()
 
     @given(direct_sum_pairs())
     def test_lincomb(self, case):
         bx, by, a, b = case
-        got = lincomb(a, DirectSumVector(bx), b, DirectSumVector(by))
-        ref = [a * p + b * q for p, q in zip(bx, by)]
-        assert got.block_dims == tuple(r.size for r in ref)
-        assert got.values.tolist() == [v for r in ref for v in r]
+        space = block_space([p.size for p in bx])
+        x, y = np.concatenate(bx), np.concatenate(by)
+        ref = [v for p, q in zip(bx, by) for v in a * p + b * q]
+        assert space.lincomb(a, x, b, y).tolist() == ref
+        assert lincomb(a, x, b, y).tolist() == ref
 
     @given(direct_sum_pairs())
     def test_norms(self, case):
         bx, _, _, _ = case
-        x = DirectSumVector(bx)
+        space = block_space([b.size for b in bx])
+        x = np.concatenate(bx)
         entries = [v for b in bx for v in b]
-        assert norm(x, "direct-sum") == sum(np.linalg.norm(b) for b in bx)
-        assert norm(x, "discrete-L2") == np.linalg.norm(np.array(entries))
-        assert norm(x, "sup") == max((abs(v) for v in entries), default=0.0)
+        assert space.norm("direct-sum")(x) == sum(np.linalg.norm(b) for b in bx)
+        assert space.norm("discrete-L2")(x) == np.linalg.norm(np.array(entries))
+        assert space.norm("sup")(x) == max((abs(v) for v in entries), default=0.0)
+        # a flat value on its own has no blocks: its direct-sum norm is its L2 norm
+        assert norm(x, "direct-sum") == norm(x, "discrete-L2")
 
     @given(direct_sum_pairs())
-    def test_zero_like_and_flat_round_trip(self, case):
+    def test_flat_round_trip(self, case):
         bx, by, _, _ = case
-        x = DirectSumVector(bx)
-        zero = zero_like(x)
-        assert zero.block_dims == x.block_dims
-        assert all(not z.any() for z in zero.blocks)
+        space = block_space([b.size for b in bx])
+        x = space.wrap(np.concatenate(bx))
         flat = flatten_values(x)
         assert flat.tolist() == [v for b in bx for v in b]
-        back = unflatten_like(x, flat)
-        assert back.block_dims == x.block_dims
-        assert [b.tolist() for b in back.blocks] == [b.tolist() for b in bx]
-        other = unflatten_like(x, np.concatenate(by))
-        assert [b.tolist() for b in other.blocks] == [b.tolist() for b in by]
+        assert space.wrap(flat).tolist() == flat.tolist()
+        assert space.wrap(np.concatenate(by)).tolist() == [v for b in by for v in b]
+        assert space.norm("direct-sum")(np.zeros(space.flat_shape)) == 0.0
 
     def test_rejects_non_finite_once_for_all_blocks(self):
         with pytest.raises(NonFiniteError):
-            DirectSumVector([[1.0], [2.0, np.inf]])
+            block_space((1, 2)).wrap([1.0, 2.0, np.inf])
         with pytest.raises(NonFiniteError):
-            DirectSumVector.from_matrix([[1.0, 2.0], [np.nan, 0.0]])
-        with pytest.raises(NonFiniteError):
-            DirectSumVector([[1.0], [2.0, 3.0]]).with_values([1.0, np.nan, 3.0])
+            block_space((2, 2)).wrap([[1.0, 2.0], [np.nan, 0.0]])
 
     def test_with_values_copies_its_input(self):
+        # wrap, the one constructor of flat values, keeps a copy
         flat = np.array([1.0, 2.0, 3.0])
-        x = DirectSumVector([[0.0], [0.0, 0.0]]).with_values(flat)
+        x = block_space((1, 2)).wrap(flat)
         flat[0] = 9.0
-        assert x.blocks[0].tolist() == [1.0]
+        assert x.tolist() == [1.0, 2.0, 3.0]
 
 
 @st.composite
@@ -311,7 +351,7 @@ class TestFlatNorm:
         blocks = [values[end - d:end] for d, end in zip(dims, ends)]
         per_block = sum(np.linalg.norm(b) for b in blocks)
         assert Space((sum(dims),), block_dims=dims).norm("direct-sum")(values) == per_block
-        assert norm(DirectSumVector(blocks), "direct-sum") == per_block
+        assert block_space(dims).norm("direct-sum")(values) == per_block
 
 
 @st.composite
@@ -368,20 +408,14 @@ class TestLincomb:
             lincomb(1, f, 1, g)
 
     def test_direct_sum_structure_checked(self):
-        x = DirectSumVector([[1.0, 2.0]])
-        y = DirectSumVector([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            lincomb(1, x, 1, y)
+        with pytest.raises(ValueError, match=r"^expected an array of 3 flat values, got \(2,\)"):
+            block_space((1, 2)).lincomb(1, np.ones(3), 1, np.ones(2))
 
     def test_x_decides_the_form_and_y_may_be_its_flat_values(self):
         f = GridFunction(grid_uniform(0, 1, 3), [1.0, 2.0, 3.0])
         out = lincomb(2.0, f, 1.0, np.ones(3))
         assert isinstance(out, GridFunction) and out.grid is f.grid
         assert out.values.tolist() == [3.0, 5.0, 7.0]
-        x = DirectSumVector([[1.0], [2.0, 3.0]])
-        assert lincomb(1.0, x, -1.0, x.values).block_dims == (1, 2)
-        with pytest.raises(ValueError, match=r"expected blocks of dim \(1, 2\), got \(2, 1\)"):
-            lincomb(1.0, x, 1.0, DirectSumVector([[1.0, 2.0], [3.0]]))
         with pytest.raises(ValueError, match="expected an array of 3 flat values, got GridFunction"):
             lincomb(1.0, np.ones(3), 1.0, f)
 
@@ -390,13 +424,6 @@ class TestLincomb:
         big = np.full(2, 1e308)
         with pytest.raises(NonFiniteError):
             lincomb(10.0, big, 10.0, big)
-
-    def test_zero_like_variants(self):
-        g = grid_uniform(0, 1, 4)
-        assert np.array_equal(zero_like(GridFunction(g, np.ones(4))).values, np.zeros(4))
-        z = zero_like(DirectSumVector([[1.0], [2.0, 3.0]]))
-        assert z.block_dims == (1, 2)
-        assert direct_sum_norm(z) == 0.0
 
 
 class TestFileIngestion:
