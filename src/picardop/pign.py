@@ -8,7 +8,6 @@ much class signal survives feature noise, against a single-pass baseline.
 from __future__ import annotations
 
 import io
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,7 +20,7 @@ from .ioutil import write_text_atomic
 from .operators import (GnnAggregateOperator, Graph, apply, neighborhood_membership_counts,
                         require_operator)
 from .picard import IterationTrace, _iterate
-from .spaces import Space
+from .spaces import Space, _real_array, require_finite
 
 REPORT_CSV_HEADER = "seed,mode,noise_p,pign_acc,baseline_acc,iters_used"
 
@@ -69,12 +68,12 @@ def planted_partition(n: int, d: int, p_in: float, p_out: float,
     same_class = labels[:, None] == labels[None, :]
     linked = np.where(same_class, coin < p_in, coin < p_out)
     graph = Graph(n, np.argwhere(np.triu(linked, 1)), include_self=True)
-    means = np.zeros((n, d))
-    means[:, 0] = (2 * labels - 1) * (separation / 2.0)
-    feats = means + rng.standard_normal((n, d))
+    feats = rng.standard_normal((n, d))
+    feats[:, 0] += (2 * labels - 1) * (separation / 2.0)  # the class means
+    feats.setflags(write=False)
     return PlantedPartitionDataset(
         graph=graph,
-        features=Space((n, d), block_dims=(d,) * n).wrap(feats),
+        features=feats.ravel(),
         labels=labels,
         params={"n": n, "d": d, "p_in": p_in, "p_out": p_out,
                 "class_mean_separation": separation, "seed": seed},
@@ -87,11 +86,11 @@ def add_dropin_noise(X: np.ndarray, p: float, magnitude: float, seed: int) -> np
         raise ValueError("noise fraction p must lie in [0, 1]")
     if not magnitude > 0:
         raise ValueError("magnitude must be positive")
-    noisy = np.array(X, dtype=float)
-    count = int(math.floor(p * noisy.size))
-    if count:
-        idx = np.random.default_rng(seed).choice(noisy.size, size=count, replace=False)
-        noisy.flat[idx] += magnitude
+    noisy = _real_array(X).copy()
+    require_finite(noisy, "block values")
+    count = int(p * noisy.size)  # the floor, as p >= 0
+    idx = np.random.default_rng(seed).choice(noisy.size, size=count, replace=False)
+    noisy.flat[idx] += magnitude
     noisy.setflags(write=False)
     return noisy
 
@@ -230,9 +229,10 @@ def run_pign_experiment(cfg: dict, seeds: Sequence[int], csv_path=None):
         embeddings, trace = pign_embed(op, X, alpha, max_iter, epsilon, anchor=anchor)
         baseline = apply(op, X)
 
-        acc, acc_base = (train_logistic_readout(Z.reshape(op.space.shape), ds.labels,
-                                                split_seed0 + s, lr, epochs)[1]
-                         for Z in (embeddings, baseline))
+        _, acc = train_logistic_readout(embeddings.reshape(op.space.shape), ds.labels,
+                                        split_seed0 + s, lr, epochs)
+        _, acc_base = train_logistic_readout(baseline.reshape(op.space.shape), ds.labels,
+                                             split_seed0 + s, lr, epochs)
         results.append(PignResult(embeddings=embeddings, trace=trace,
                                   readout_accuracy=acc, baseline_accuracy=acc_base,
                                   seed=s, mode=mode, noise_p=noise_p))

@@ -736,22 +736,40 @@ class TestTheOperatorsSpaceDecidesTheNorm:
     @pytest.mark.parametrize("function", ["picard_solve", "residual", "uniqueness_check",
                                           "lipschitz_sample"])
     def test_flat_and_structured_gnn_values_give_equal_numbers(self, function):
-        # under direct-sum a gnn measures flat values by its blocks, whether
-        # they were given flat or made by its space from the (n, d) matrix
+        # under direct-sum a gnn measures its flat values by the blocks of its
+        # space: each number equals the per-block sum over the rows of the (n, d)
+        # matrix, and differs from the plain L2 measure of the same flat values
         rng = np.random.default_rng(31)
         op = GnnAggregateOperator(Graph(3, [(0, 1), (1, 2)]),
                                   rescale_to_contraction(rng.standard_normal((2, 2)), 3, 0.8))
         F, G = (op.space.wrap(rng.standard_normal((3, 2))) for _ in range(2))
-        cfg = PicardConfig(lam=0.9, epsilon=1e-10, max_iter=500, norm_kind="direct-sum")
-        run = {
-            "picard_solve": lambda f, g: picard_solve(op, cfg, f)[1].steps,
-            "residual": lambda f, g: residual(op, 0.9, f, g, "direct-sum"),
-            "uniqueness_check": lambda f, g: uniqueness_check(op, cfg, f, (f, g)),
-            "lipschitz_sample": lambda f, g: lipschitz_sample(
-                op, lambda r: r.standard_normal(6), 20,
-                norm_kind="direct-sum", extra_pairs=[(f, g)]).value,
+        cfg = PicardConfig(lam=0.9, epsilon=1e-10, max_iter=5, norm_kind="direct-sum")
+
+        def measured(x, kind):
+            return oracle_norm(x, kind, op.space.block_dims)
+
+        def solve(x0):
+            return picard_solve(op, cfg, F, x0=x0)[0]
+
+        run, reference = {
+            "picard_solve": (
+                lambda: list(picard_solve(op, cfg, F)[1].step_norms),
+                lambda kind: [step for step, _ in oracle_solve(
+                    op, dataclasses.replace(cfg, norm_kind=kind), F)[1]]),
+            "residual": (
+                lambda: residual(op, 0.9, F, G, "direct-sum"),
+                lambda kind: measured(0.9 * op(G) + F - G, kind)),
+            "uniqueness_check": (
+                lambda: uniqueness_check(op, cfg, F, (F, G))[1],
+                lambda kind: measured(solve(F) - solve(G), kind)),
+            "lipschitz_sample": (
+                lambda: lipschitz_sample(op, lambda r: F, 1, norm_kind="direct-sum",
+                                         extra_pairs=[(F, G)]).value,
+                lambda kind: measured(op(F) - op(G), kind) / measured(F - G, kind)),
         }[function]
-        assert run(F, G) == run(np.array(F), np.array(G))
+        got = run()
+        assert got == pytest.approx(reference("direct-sum"), rel=1e-12)
+        assert got != pytest.approx(reference("discrete-L2"), rel=1e-6)
 
 
 class TestTraceCsv:

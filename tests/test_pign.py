@@ -16,7 +16,7 @@ from picardop import (
     run_pign_experiment,
     train_logistic_readout,
 )
-from picardop.errors import ConfigError
+from picardop.errors import ConfigError, NonFiniteError
 from picardop.picard import _iterate
 from picardop.pign import report_csv_text
 
@@ -146,6 +146,12 @@ class TestDropinNoise:
             add_dropin_noise(X, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             add_dropin_noise(X, 0.5, 0.0, seed=0)
+
+    def test_complex_or_non_finite_features_are_refused(self):
+        with pytest.raises(ValueError, match="expected real values, got dtype complex128"):
+            add_dropin_noise(np.ones(4, dtype=complex), 0.5, 1.0, seed=0)
+        with pytest.raises(NonFiniteError, match="block values must be finite"):
+            add_dropin_noise(np.array([0.0, np.nan, 0.0, 0.0]), 0.5, 1.0, seed=0)
 
 
 def certified_operator(rng, graph, d, target=0.9):
