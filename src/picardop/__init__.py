@@ -1,9 +1,9 @@
 """picardop: fixed-point solvers for operator equations lambda*T(x) + f = x.
 
 Concrete operators (affine, cubic attention, integral, graph aggregation),
-the Picard/damped iteration engine with convergence diagnostics, derivative
-and Lipschitz estimation, and an iterated message-passing experiment on
-synthetic graphs.
+the Picard iteration engine (damped updates included) with convergence
+diagnostics, derivative and Lipschitz estimation, and an iterated
+message-passing experiment on synthetic graphs.
 """
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ from .picard import (
     IterationTrace,
     BanachBoundRecord,
     picard_solve,
-    damped_solve,
     residual,
     predicted_iterations,
     banach_bounds,

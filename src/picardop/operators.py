@@ -6,13 +6,14 @@ Every operator is an immutable callable ``T`` on its ``space``, a
 Three rules hold for every operator here:
 
 - Its space is ``(d,)`` for affine, ``(None, d)`` (m tokens) for attention,
-  the grid's ``(n,)`` values for Hammerstein, and n blocks of dim d (its
-  ``block_dims``) for graph aggregation, on flat ``(n*d,)`` arrays. One shared
-  ``__call__`` maps ``space.values(x)`` and wraps the output by ``space.wrap``
-  only when ``x`` was a ``GridFunction``; both forms give the same bytes. A
-  flat array is checked only for its shape and dtype, so the solvers check a
-  start once, before their loops. The space also decides the norm: the
-  solvers and ``norm_in`` measure flat values in ``space.norm(kind)``.
+  the grid's ``(n,)`` values for Hammerstein, and ``(n, d)`` blocks
+  (``blocks=True``) for graph aggregation, on flat ``(n*d,)`` arrays. One
+  shared ``__call__`` maps ``space.values(x)``; flat values come back flat,
+  anything else goes through ``space.wrap``, and both forms give the same
+  bytes. A flat array is checked only for its shape and dtype, so the solvers
+  read their start and free term through ``op.space`` once, before their
+  loops. The space also decides the norm: the solvers and ``norm_in`` measure
+  flat values in ``space.norm(kind)``.
 - Its ``_map`` checks its own output and raises ``NonFiniteError`` on a NaN or
   Inf entry.
 - ``apply`` only turns that error into a ``DivergenceError``.
@@ -347,7 +348,7 @@ class GnnAggregateOperator(Operator):
         self.graph = graph
         self.W = _finite_matrix(W, "W", square=True)
         self.d = self.W.shape[0]
-        self.space = Space((graph.n, self.d), block_dims=(self.d,) * graph.n)
+        self.space = Space((graph.n, self.d), blocks=True)
         # edge (v, i) of the CSR index sends row i of relu(F W^T) to entries
         # v*d .. v*d + d - 1 of the output
         rows = np.repeat(np.arange(graph.n), np.diff(graph.indptr))

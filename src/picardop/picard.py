@@ -5,11 +5,11 @@ One engine drives everything: the update
     y_{k+1} = alpha * y_k + (1 - alpha) * (f + lambda * T(y_k))
 
 covers plain successive substitution (alpha = 0), the smoothed message-passing
-loop, and the damped update x_{k+1} = (1 - m) T(x_k) + m x_k (f = 0, lambda = 1,
-alpha = m). The first update always runs; afterwards the loop stops when the
-step norm ||y_{k+1} - y_k|| drops to epsilon. The residual
-||lambda T(y_k) + f - y_k|| is logged at every step; for alpha = 0 the two
-quantities coincide.
+loop, and the damped update x_{k+1} = (1 - m) T(x_k) + m x_k, which is
+``picard_solve`` with lambda = 1, f = 0 and smoothing = m. The first update
+always runs; afterwards the loop stops when the step norm ||y_{k+1} - y_k||
+drops to epsilon. The residual ||lambda T(y_k) + f - y_k|| is logged at every
+step; for alpha = 0 the two quantities coincide.
 """
 
 from __future__ import annotations
@@ -134,21 +134,21 @@ class BanachBoundRecord:
     actual_error: Optional[float] = None
 
 
-def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
-             record_iterates=False, record_run=None):
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+def _iterate(op, cfg: PicardConfig, f, x0, record_iterates=False, record_run=None):
     recording = record_iterates
-    # f and x0 are read once in x0's space, the form of the iterates; x0 is
-    # checked against op.space, the steps' norm. Every step runs on flat arrays.
-    space = Space.of(x0)
-    yv, fv = space.values(x0), space.values(f)
-    op.space.values(x0)
-    flat_norm = op.space.norm(norm_kind)
-    trace = IterationTrace([], False, op.space, norm_kind, [x0] if record_iterates else None)
+    # x0 and f are read once through op.space, whose norm measures the steps; every
+    # step runs on flat arrays, and the iterates take x0's form by Operator.__call__'s rule
+    yv, fv = op.space.values(x0), op.space.values(f)
+    # a free row count would otherwise broadcast a one-row f over every token
+    if fv.shape != yv.shape:
+        raise ValueError(f"shape mismatch: {yv.shape} vs {fv.shape}")
+    form = (lambda v: v) if yv is x0 else op.space.wrap
+    lam, alpha, epsilon = cfg.lam, cfg.smoothing, cfg.epsilon
+    flat_norm = op.space.norm(cfg.norm_kind)
+    trace = IterationTrace([], False, op.space, cfg.norm_kind, [x0] if record_iterates else None)
     steps, iterates = trace.steps, trace.iterates
     first_step = None
-    for k in range(max_iter):
+    for k in range(cfg.max_iter):
         try:
             tv = apply(op, yv)
         except DivergenceError as exc:
@@ -176,7 +176,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         steps.append(StepRecord(k, step, resid))
         yv = y_next
         if recording:
-            iterates.append(space.wrap(yv))
+            iterates.append(form(yv))
             recording = record_run is None or (step > record_run.epsilon
                                                and len(steps) < record_run.max_iter)
         if first_step is None:
@@ -188,7 +188,7 @@ def _iterate(op, lam, f, alpha, x0, epsilon, max_iter, norm_kind,
         if step <= epsilon:
             trace.converged = True
             break
-    return space.wrap(yv), trace
+    return form(yv), trace
 
 
 def picard_solve(op: Operator, cfg: PicardConfig, f, x0=None, record_iterates: bool = False,
@@ -202,33 +202,18 @@ def picard_solve(op: Operator, cfg: PicardConfig, f, x0=None, record_iterates: b
     ``record_iterates`` keeps the iterates in the trace; with ``record_run``, a
     shorter run's config, only that run's (through its first step <= its epsilon).
 
-    ``op`` is an ``Operator``. The start decides the form of the solution and
-    the iterates (``f`` is a value of its space, or flat values), and
-    ``op.space`` the norm: block values are flat arrays, whose blocks only
-    ``op.space`` knows. The start is checked once against ``op.space``;
-    every step applies ``op`` to flat values and checks the output's shape.
+    ``op`` is an ``Operator``. ``op.space`` reads the start and ``f`` once (each
+    a value of the space or its flat values, of one flat shape) and decides the
+    norm: block values are flat arrays, whose blocks only ``op.space`` knows.
+    The solution and the iterates come back in the start's form, as from
+    ``op(start)``; every step applies ``op`` to flat values and checks the
+    output's shape.
 
     Returns (solution, trace); raises DivergenceError (carrying the partial
     trace) when an iterate goes non-finite or steps grow by 1e12 over the first.
     """
     require_operator(op)
-    start = f if x0 is None else x0
-    return _iterate(op, cfg.lam, f, cfg.smoothing, start, cfg.epsilon,
-                    cfg.max_iter, cfg.norm_kind, record_iterates, record_run)
-
-
-def damped_solve(op: Operator, lambda_mix: float, x0, epsilon: float, max_iter: int,
-                 norm_kind: str = "discrete-L2", record_iterates: bool = False):
-    """Iterate the damped update x_{i+1} = (1 - lambda_mix) T(x_i) + lambda_mix x_i.
-
-    Same engine as picard_solve with f = 0, lambda = 1, alpha = lambda_mix;
-    the fixed points are those of T itself.
-    """
-    require_operator(op)
-    if not 0.0 <= lambda_mix <= 1.0:
-        raise ValueError("lambda_mix must lie in [0, 1]")
-    return _iterate(op, 1.0, np.zeros(op.space.values(x0).shape), lambda_mix, x0, epsilon,
-                    max_iter, norm_kind, record_iterates)
+    return _iterate(op, cfg, f, f if x0 is None else x0, record_iterates, record_run)
 
 
 def residual(op: Operator, lam: float, f, x, norm_kind: str = "discrete-L2") -> float:

@@ -19,8 +19,8 @@ from .errors import config_value, integer
 from .ioutil import write_text_atomic
 from .operators import (GnnAggregateOperator, Graph, apply, neighborhood_membership_counts,
                         require_operator)
-from .picard import IterationTrace, _iterate
-from .spaces import Space, _real_array, require_finite
+from .picard import IterationTrace, PicardConfig, _iterate
+from .spaces import _real_array, require_finite
 
 REPORT_CSV_HEADER = "seed,mode,noise_p,pign_acc,baseline_acc,iters_used"
 
@@ -103,17 +103,19 @@ def pign_embed(op: GnnAggregateOperator, X: np.ndarray, alpha: float,
     point under contraction is 0); with an anchor the update injects it every
     step, z_{k+1} = op(x_k) + anchor, which has a nontrivial unique fixed point
     for a certified operator. X and the anchor are flat block values of
-    ``op.space``, as are the returned embeddings. Returns (embeddings, trace).
+    ``op.space``, as are the returned embeddings. The loop is ``picard_solve``'s,
+    with lambda = 1, smoothing alpha, at most n steps and the direct-sum norm.
+    Returns (embeddings, trace).
     """
     require_operator(op)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    cfg = PicardConfig(lam=1.0, epsilon=epsilon, max_iter=n, smoothing=alpha,
+                       norm_kind="direct-sum")
     report = gnn_lipschitz_report(op)
     if not report.certified:
         warnings.warn(f"aggregation operator is not contraction-certified "
                       f"(L*alpha_max = {report.product:g} >= 1); iterations may not settle")
     f = np.zeros(op.space.flat_shape) if anchor is None else anchor
-    return _iterate(op, 1.0, f, alpha, X, epsilon, n, "direct-sum")
+    return _iterate(op, cfg, f, X)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -139,7 +141,7 @@ def train_logistic_readout(embeddings, labels, split_seed: int = 0,
     for the ValueError ("non-finite logistic loss at epoch <k>: ...") that
     such an epoch raises.
     """
-    X = Space.of(embeddings).values(embeddings)
+    X = _real_array(embeddings)
     if X.ndim != 2:
         raise ValueError(f"embeddings must be an (n, d) matrix, got shape {X.shape}")
     y = np.asarray(labels)

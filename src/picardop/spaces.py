@@ -1,10 +1,10 @@
 """Discretized function spaces: interval grids, grid functions, block values, and norms.
 
 A ``Space`` is the one record of a value's structure: a shape, plus a grid or
-block dims. A GridFunction holds its flat values and its space; a block value is
-a plain flat array. ``Space.of(x)`` is any value's space. It checks, wraps and
-combines values and owns the norms, so each helper here is ``Space.of(x)`` and
-``Space`` calls.
+a flag for n blocks of dim d. A GridFunction holds its flat values and its
+space; a block value is a plain flat array. ``Space.of(x)`` is any value's
+space. It checks, wraps and combines values and owns the norms, so each helper
+here is ``Space.of(x)`` and ``Space`` calls.
 
 All values are immutable after construction and all operations are pure, so
 they can be shared freely across threads. Arithmetic is 64-bit floating point.
@@ -13,7 +13,6 @@ they can be shared freely across threads. Arithmetic is 64-bit floating point.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -152,9 +151,6 @@ class GridFunction:
     def grid(self) -> Grid:
         return self.space.grid
 
-    def with_values(self, values) -> "GridFunction":
-        return self.space.wrap(values)
-
     def __repr__(self) -> str:
         return f"GridFunction(n={self.grid.n}, values={self.values!r})"
 
@@ -162,21 +158,18 @@ class GridFunction:
 class Space:
     """The space of a value: values of ``shape`` (``None``: a free row count).
 
-    A ``grid`` space holds GridFunctions on the grid, and a ``block_dims`` space
-    flat arrays of blocks of those dims, end to end (``shape`` is (n, d) for n
-    blocks of dim d, else the total dim); both are handled as flat arrays of
-    ``flat_shape``. Any other space holds plain float arrays of ``shape``.
-    ``Space.of(x)`` is the space of a value x; the space decides its norms.
+    A ``grid`` space holds GridFunctions on the grid, and a ``blocks`` space of
+    ``shape`` (n, d) flat arrays of n blocks of dim d, end to end; both are
+    handled as flat arrays of ``flat_shape``. Any other space holds plain float
+    arrays of ``shape``. ``Space.of(x)`` is the space of a value x; the space
+    decides its norms.
     """
 
-    def __init__(self, shape: tuple, grid: Grid | None = None,
-                 block_dims: tuple | None = None):
-        if block_dims is not None and not block_dims:
-            raise ValueError("need at least one block")
+    def __init__(self, shape: tuple, grid: Grid | None = None, blocks: bool = False):
         self.shape = shape
         self.grid = grid
-        self.block_dims = block_dims if block_dims is None else tuple(block_dims)
-        self.flat_shape = shape if block_dims is None else (sum(block_dims),)
+        self.blocks = blocks
+        self.flat_shape = (math.prod(shape),) if blocks else shape
         # values fit a free row count, (None, ...), by the dims after their first
         self._free = self.flat_shape[:1] == (None,)
         self._tail = self.flat_shape[self._free:]
@@ -199,7 +192,7 @@ class Space:
                 if not x.grid.matches(self.grid):
                     raise ValueError("input must be a GridFunction on the operator's grid")
                 return x.values
-        elif self.grid is None and self.block_dims is None:
+        elif self.grid is None and not self.blocks:
             x = _real_array(x)
             if x.shape[self._free:] == self._tail:
                 return x
@@ -215,7 +208,7 @@ class Space:
             out = object.__new__(GridFunction)
             out.space, out.values = self, self._copy(values)
             return out
-        if self.block_dims is not None:
+        if self.blocks:
             return self._copy(values)
         return self.values(_real_array(values))
 
@@ -229,7 +222,7 @@ class Space:
         on_grid = self.grid is not None
         if values.shape != self.flat_shape:
             what = ("values on the grid" if on_grid
-                    else f"flat values for block dims {self.block_dims}")
+                    else "flat values for {} blocks of dim {}".format(*self.shape))
             raise ValueError(f"expected {self.flat_shape[0]} {what}, got shape {values.shape}")
         require_finite(values, "grid function values" if on_grid else "block values")
         values.setflags(write=False)
@@ -250,30 +243,24 @@ class Space:
 
         discrete-L2 is sqrt(sum of squares) and sup the max absolute entry.
         direct-sum is the sum of the blocks' L2 norms, and the L2 norm in a
-        space without blocks (one block). Uniform blocks take all their L2
-        norms in one ``vecdot`` and sum them left to right, as the Python
-        ``sum`` over per-block ``np.linalg.norm`` calls that mixed dims use
-        does. A solver resolves the function once, before its loop.
+        space without blocks (one block). A solver resolves the function once,
+        before its loop.
         """
         if kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
         if kind == "sup":
             return _sup_norm
-        if kind != "direct-sum" or self.block_dims is None:
+        if kind != "direct-sum" or not self.blocks:
             return _l2_norm
-        dims = self.block_dims
-        if dims.count(dims[0]) == len(dims):
-            shape = (len(dims), dims[0])
+        shape = self.shape
 
-            def uniform_blocks_norm(values: np.ndarray) -> float:
-                S = values.reshape(shape)
-                return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
-            return uniform_blocks_norm
-        spans = [(end - d, end) for d, end in zip(dims, itertools.accumulate(dims))]
-
-        def mixed_blocks_norm(values: np.ndarray) -> float:
-            return float(sum(np.linalg.norm(values[start:end]) for start, end in spans))
-        return mixed_blocks_norm
+        def blocks_norm(values: np.ndarray) -> float:
+            S = values.reshape(shape)
+            # all block norms in one vecdot; add.accumulate sums them strictly left
+            # to right, as a Python sum over per-block np.linalg.norm calls does,
+            # where np.sum's pairwise order would change the last bits of steps
+            return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
+        return blocks_norm
 
 
 def _l2_norm(values: np.ndarray) -> float:

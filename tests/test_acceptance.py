@@ -19,7 +19,6 @@ from picardop import (
     HammersteinOperator,
     PicardConfig,
     banach_bounds,
-    damped_solve,
     frechet_check,
     gnn_lipschitz_report,
     grid_uniform,
@@ -296,7 +295,8 @@ def test_criterion_7_damping_fixed_point_invariance():
         for mix in mixes:
             k_mix = mix + (1 - mix) * k
             eps_run = eps * (1 - k_mix) / k_mix
-            sol, trace = damped_solve(op, mix, x0, epsilon=eps_run, max_iter=200000)
+            cfg = PicardConfig(1.0, eps_run, 200000, smoothing=mix)
+            sol, trace = picard_solve(op, cfg, np.zeros(d), x0=x0)
             assert trace.converged
             solutions.append(sol)
         for i in range(len(solutions)):

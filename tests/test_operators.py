@@ -20,7 +20,6 @@ from picardop import (
     PicardConfig,
     Space,
     apply,
-    damped_solve,
     fd_directional,
     frechet_check,
     graph_from_edgelist,
@@ -463,7 +462,7 @@ class TestGnnAggregate:
         F = data.draw(arrays(np.float64, (n, d), elements=entries))
         op = GnnAggregateOperator(g, W)
         out = apply(op, op.space.wrap(F))
-        assert op.space.block_dims == (d,) * n and out.shape == (n * d,)
+        assert op.space.blocks and op.space.shape == (n, d) and out.shape == (n * d,)
         for v in range(n):
             messages = [np.maximum(W @ F[i], 0.0) for i in g.neighborhood(v)]
             want = np.max(messages, axis=0) if messages else np.zeros(d)
@@ -590,8 +589,13 @@ class TestSpace:
             op(x)
         applied = []
         monkeypatch.setattr(picard, "apply", lambda op, y: applied.append(y) or op(y))
+        inside = np.zeros([1 if n is None else n for n in op.space.flat_shape])
+        damped = PicardConfig(1.0, 1e-12, 50, smoothing=0.5)
+        # as the start, as f beside a start inside, and as the damped update's start
         for solve in (lambda: picard.picard_solve(op, PicardConfig(0.5, 1e-12, 50), x),
-                      lambda: picard.damped_solve(op, 0.5, x, 1e-12, 50)):
+                      lambda: picard.picard_solve(op, PicardConfig(0.5, 1e-12, 50), x,
+                                                  x0=inside),
+                      lambda: picard.picard_solve(op, damped, inside, x0=x)):
             with pytest.raises(ValueError, match=message):
                 solve()
         assert applied == []
@@ -620,8 +624,9 @@ class TestApply:
         sol, trace = picard_solve(op, PicardConfig(lam=1.0, epsilon=1e-13, max_iter=200), f)
         assert isinstance(sol, GridFunction) and sol.grid is grid and trace.converged
         assert residual(op, 1.0, f, sol) <= 1e-12
-        # y = 0.5 tanh(y) has the one fixed point 0
-        fixed, damped = damped_solve(op, 0.5, f, 1e-13, 200)
+        # y = 0.5 tanh(y) has the one fixed point 0; damped, from f, it is reached too
+        fixed, damped = picard_solve(op, PicardConfig(1.0, 1e-13, 200, smoothing=0.5),
+                                     np.zeros(grid.n), x0=f)
         assert isinstance(fixed, GridFunction) and damped.converged
         assert np.abs(fixed.values).max() <= 1e-12
         sample = lipschitz_sample(op, lambda rng: GridFunction(grid, rng.standard_normal(4)), 50)
@@ -651,7 +656,8 @@ def test_complex_values_are_refused_not_cast(case):
 CFG = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=50)
 PUBLIC_ENTRIES = {
     "picard_solve": lambda fn: picard_solve(fn, CFG, np.ones(2)),
-    "damped_solve": lambda fn: damped_solve(fn, 0.5, np.ones(2), 1e-12, 50),
+    "picard_solve-smoothing": lambda fn: picard_solve(
+        fn, PicardConfig(1.0, 1e-12, 50, smoothing=0.5), np.zeros(2), x0=np.ones(2)),
     "pign_embed": lambda fn: pign_embed(fn, np.ones(4), 0.5, 10, 1e-12),
     "residual": lambda fn: residual(fn, 1.0, np.ones(2), np.ones(2)),
     "uniqueness_check": lambda fn: uniqueness_check(fn, CFG, np.ones(2),

@@ -17,7 +17,6 @@ from picardop import (
     PicardConfig,
     Space,
     banach_bounds,
-    damped_solve,
     grid_uniform,
     lincomb,
     lipschitz_sample,
@@ -145,30 +144,30 @@ class TestPicardSolve:
         assert np.array_equal(x, full_x) and trace.steps == full.steps
 
 
-def oracle_norm(x, kind, block_dims=None):
-    """The norm as a Python sum of np.linalg.norm calls on the blocks of ``block_dims``."""
+def oracle_norm(x, kind, blocks=None):
+    """The norm as a Python sum of np.linalg.norm calls on ``blocks`` (n, d): n blocks of dim d."""
     values = x if isinstance(x, np.ndarray) else x.values
-    if kind == "direct-sum" and block_dims is not None:
-        ends = np.cumsum(block_dims)
-        return float(sum(np.linalg.norm(values[end - d:end])
-                         for d, end in zip(block_dims, ends)))
+    if kind == "direct-sum" and blocks is not None:
+        n, d = blocks
+        return float(sum(np.linalg.norm(values[v * d:(v + 1) * d]) for v in range(n)))
     return float(np.max(np.abs(values)) if kind == "sup" else np.linalg.norm(values.ravel()))
 
 
 def oracle_lincomb(a, x, b, y):
     if isinstance(x, np.ndarray):
         return a * x + b * y
-    return x.with_values(a * x.values + b * y.values)
+    return x.space.wrap(a * x.values + b * y.values)
 
 
 def oracle_solve(op, cfg, f):
     """The Picard loop on vector objects: an apply, four combinations and two norms a step."""
-    alpha, y, steps, dims = cfg.smoothing, f, [], op.space.block_dims
+    blocks = op.space.shape if op.space.blocks else None
+    alpha, y, steps = cfg.smoothing, f, []
     for _ in range(cfg.max_iter):
         target = oracle_lincomb(cfg.lam, op(y), 1.0, f)
-        resid = oracle_norm(oracle_lincomb(1.0, target, -1.0, y), cfg.norm_kind, dims)
+        resid = oracle_norm(oracle_lincomb(1.0, target, -1.0, y), cfg.norm_kind, blocks)
         y_next = target if alpha == 0.0 else oracle_lincomb(alpha, y, 1.0 - alpha, target)
-        step = oracle_norm(oracle_lincomb(1.0, y_next, -1.0, y), cfg.norm_kind, dims)
+        step = oracle_norm(oracle_lincomb(1.0, y_next, -1.0, y), cfg.norm_kind, blocks)
         steps.append((step, resid))
         y = y_next
         if step <= cfg.epsilon:
@@ -305,20 +304,33 @@ class TestFlatArrayLoop:
         with pytest.raises(ValueError, match=message):
             if solver == "picard":
                 picard_solve(op, PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50), x0)
-            else:
-                damped_solve(op, 0.5, x0, 1e-12, 50)
+            else:  # the damped update: lambda = 1, f = 0 and the mix as smoothing
+                picard_solve(op, PicardConfig(1.0, 1e-12, 50, smoothing=0.5),
+                             np.zeros(op.space.flat_shape), x0=x0)
 
     def test_flat_free_term_takes_the_start_form(self):
+        # op.space reads the start and f in either form; the start's form comes back
         grid = grid_uniform(0, 1, 5)
         op = HammersteinOperator(grid, make_kernel("separable-linear"))
         cfg = PicardConfig(lam=0.5, epsilon=1e-12, max_iter=50)
         f = GridFunction(grid, np.linspace(1.0, 2.0, 5))
-        sol, trace = picard_solve(op, cfg, f.values, x0=f)
         ref, ref_trace = picard_solve(op, cfg, f)
-        assert isinstance(sol, GridFunction) and sol.values.tobytes() == ref.values.tobytes()
-        assert trace.steps == ref_trace.steps
+        for free, start, form in ((f.values, f, GridFunction), (f, f.values, np.ndarray)):
+            sol, trace = picard_solve(op, cfg, free, x0=start)
+            values = sol.values if form is GridFunction else sol
+            assert type(sol) is form and values.tobytes() == ref.values.tobytes()
+            assert trace.steps == ref_trace.steps
+        seeds = (GridFunction(grid, np.zeros(5)), GridFunction(grid, np.ones(5)))
+        flat_seeds = uniqueness_check(op, cfg, f, [s.values for s in seeds])
+        assert flat_seeds[0] and flat_seeds == uniqueness_check(op, cfg, f, seeds)
         with pytest.raises(ValueError, match="input must be a GridFunction on the operator's grid"):
             picard_solve(op, cfg, GridFunction(grid_uniform(0, 2, 5), f.values), x0=f)
+
+    def test_one_row_free_term_is_not_broadcast_over_the_tokens(self):
+        # attention's free row count admits both, but the loop needs one shape
+        op = AttentionOperator(*(0.1 * np.eye(2) for _ in range(3)))
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 2\) vs \(1, 2\)$"):
+            picard_solve(op, PicardConfig(1.0, 1e-12, 50), np.ones((1, 2)), x0=np.ones((3, 2)))
 
     def test_plain_callable_gets_flat_values_from_the_first_step(self):
         grid = grid_uniform(0, 1, 5)
@@ -654,11 +666,15 @@ class TestFixedPointProperties:
 
 
 class TestDampedSolve:
+    """The damped update x <- (1 - m) T(x) + m x: picard_solve with lambda = 1, f = 0
+    and smoothing m, whose fixed points are those of T."""
+
     def test_full_damping_freezes(self):
         rng = np.random.default_rng(49)
         op = contraction(rng, 4, 0.5)
         x0 = rng.standard_normal(4)
-        sol, trace = damped_solve(op, 1.0, x0, epsilon=1e-12, max_iter=100)
+        sol, trace = picard_solve(op, PicardConfig(1.0, 1e-12, 100, smoothing=1.0),
+                                  np.zeros(4), x0=x0)
         assert trace.converged
         assert trace.iterations_used == 1
         assert trace.steps[0].step_norm == 0.0
@@ -668,7 +684,7 @@ class TestDampedSolve:
         rng = np.random.default_rng(50)
         op = contraction(rng, 4, 0.5)
         x0 = rng.standard_normal(4)
-        sol, _ = damped_solve(op, 0.0, x0, epsilon=1e-13, max_iter=10000)
+        sol, _ = picard_solve(op, PicardConfig(1.0, 1e-13, 10000), np.zeros(4), x0=x0)
         expected = np.linalg.solve(np.eye(4) - op.A, op.b)
         assert np.linalg.norm(sol - expected) <= 1e-11
 
@@ -679,7 +695,8 @@ class TestDampedSolve:
         expected = np.linalg.solve(np.eye(6) - op.A, op.b)
         eps = 1e-12
         for mix in (0.0, 0.5):
-            sol, _ = damped_solve(op, mix, x0, epsilon=eps, max_iter=50000)
+            sol, _ = picard_solve(op, PicardConfig(1.0, eps, 50000, smoothing=mix),
+                                  np.zeros(6), x0=x0)
             assert np.linalg.norm(sol - expected) <= 10 * eps
 
     def test_damping_preserves_fixed_points(self):
@@ -707,9 +724,9 @@ class TestDampedSolve:
             assert np.linalg.norm(damped_x - damped_y) / gap <= bound + 1e-9
 
     def test_rejects_bad_mix(self):
-        op = AffineOperator(np.eye(2) * 0.5)
-        with pytest.raises(ValueError):
-            damped_solve(op, 1.5, np.zeros(2), 1e-6, 10)
+        for mix in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^smoothing must lie in \[0, 1\]$"):
+                PicardConfig(1.0, 1e-6, 10, smoothing=mix)
 
 
 class TestUniformNu:
@@ -746,7 +763,7 @@ class TestTheOperatorsSpaceDecidesTheNorm:
         cfg = PicardConfig(lam=0.9, epsilon=1e-10, max_iter=5, norm_kind="direct-sum")
 
         def measured(x, kind):
-            return oracle_norm(x, kind, op.space.block_dims)
+            return oracle_norm(x, kind, op.space.shape)
 
         def solve(x0):
             return picard_solve(op, cfg, F, x0=x0)[0]

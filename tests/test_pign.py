@@ -6,18 +6,20 @@ import pytest
 from picardop import (
     GnnAggregateOperator,
     Graph,
+    PicardConfig,
     add_dropin_noise,
     apply,
     gnn_lipschitz_report,
     neighborhood_membership_counts,
+    picard_solve,
     pign_embed,
     planted_partition,
     rescale_to_contraction,
     run_pign_experiment,
     train_logistic_readout,
 )
+from picardop import picard
 from picardop.errors import ConfigError, NonFiniteError
-from picardop.picard import _iterate
 from picardop.pign import report_csv_text
 
 
@@ -201,10 +203,21 @@ class TestPignEmbed:
         op = certified_operator(rng, g, 3)
         X = rng.standard_normal(12)
         emb, trace = pign_embed(op, X, alpha=0.3, n=25, epsilon=1e-10)
-        emb2, trace2 = _iterate(op, 1.0, np.zeros(12), 0.3, X, 1e-10, 25, "direct-sum")
-        assert np.array_equal(emb, emb2)
-        assert trace.iterations_used == trace2.iterations_used
-        assert [s.step_norm for s in trace.steps] == [s.step_norm for s in trace2.steps]
+        # the damped update of picard_solve: lambda = 1, f = 0, smoothing alpha
+        cfg = PicardConfig(1.0, 1e-10, 25, smoothing=0.3, norm_kind="direct-sum")
+        emb2, trace2 = picard_solve(op, cfg, np.zeros(12), x0=X)
+        assert emb.tobytes() == emb2.tobytes()
+        assert trace.steps == trace2.steps
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_bad_epsilon_is_refused_before_any_apply(self, monkeypatch, epsilon):
+        rng = np.random.default_rng(13)
+        op = certified_operator(rng, Graph(4, [(0, 1), (0, 2), (2, 3)]), 3)
+        applied = []
+        monkeypatch.setattr(picard, "apply", lambda op, y: applied.append(y) or op(y))
+        with pytest.raises(ValueError, match=r"^epsilon must be positive$"):
+            pign_embed(op, rng.standard_normal(12), 0.5, 7, epsilon)
+        assert applied == []
 
     def test_warns_when_not_certified(self):
         rng = np.random.default_rng(14)
@@ -270,8 +283,8 @@ class TestLogisticReadout:
         assert 0.0 <= acc <= 1.0
         assert all(a == acc and np.array_equal(v, w) for v, a in rest)
 
-    def test_mixed_block_dims_are_refused(self):
-        # blocks of dims (1, 2, 1) have no (n, d) matrix: their flat values are refused
+    def test_flat_block_values_are_refused(self):
+        # flat values have no (n, d) matrix until reshaped by their space
         X = np.array([1.0, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match=r"^embeddings must be an \(n, d\) matrix, "
                                              r"got shape \(4,\)$"):

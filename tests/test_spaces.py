@@ -23,11 +23,9 @@ from picardop.errors import NonFiniteError
 from picardop.spaces import Space, require_finite
 
 
-def block_space(dims):
-    """The space of blocks of ``dims``, of shape (n, d) for n blocks of one dim d."""
-    dims = tuple(dims)
-    uniform = dims.count(dims[0]) == len(dims)
-    return Space((len(dims), dims[0]) if uniform else (sum(dims),), block_dims=dims)
+def block_space(n, d):
+    """The space of n blocks of dim d, of shape (n, d) and flat shape (n*d,)."""
+    return Space((n, d), blocks=True)
 
 
 class TestGridUniform:
@@ -145,7 +143,7 @@ class TestNorms:
             y = rng.standard_normal(6)
             for kind in ("discrete-L2", "sup"):
                 assert norm(x + y, kind) <= norm(x, kind) + norm(y, kind) + 1e-12
-            space = block_space((3, 3))
+            space = block_space(2, 3)
             direct_sum = space.norm("direct-sum")
             lhs = direct_sum(space.lincomb(1.0, x, 1.0, y))
             assert lhs <= direct_sum(x) + direct_sum(y) + 1e-12
@@ -165,39 +163,38 @@ class TestDirectSum:
     """The direct-sum norm of a block space: the sum of its blocks' L2 norms."""
 
     def test_zero_blocks(self):
-        assert block_space((3, 2)).norm("direct-sum")(np.zeros(5)) == 0.0
+        assert block_space(3, 2).norm("direct-sum")(np.zeros(6)) == 0.0
 
     def test_componentwise_sum(self):
-        assert block_space((2, 2)).norm("direct-sum")(np.array([3.0, 4.0, 0.0, 1.0])) == 6.0
+        assert block_space(2, 2).norm("direct-sum")(np.array([3.0, 4.0, 0.0, 1.0])) == 6.0
 
     def test_single_block_reduces_to_l2(self):
         v = np.array([1.0, -2.0, 2.0])
-        assert block_space((3,)).norm("direct-sum")(v) == norm(v, "discrete-L2")
+        assert block_space(1, 3).norm("direct-sum")(v) == norm(v, "discrete-L2")
 
     def test_concatenation_additivity(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            dx = [int(d) for d in rng.integers(1, 5, 3)]
-            dy = [int(d) for d in rng.integers(1, 5, 2)]
-            x, y = rng.standard_normal(sum(dx)), rng.standard_normal(sum(dy))
-            total = block_space(dx + dy).norm("direct-sum")(np.concatenate([x, y]))
-            parts = block_space(dx).norm("direct-sum")(x) + block_space(dy).norm("direct-sum")(y)
+            nx, ny, d = (int(k) for k in rng.integers(1, 5, 3))
+            x, y = rng.standard_normal(nx * d), rng.standard_normal(ny * d)
+            total = block_space(nx + ny, d).norm("direct-sum")(np.concatenate([x, y]))
+            parts = (block_space(nx, d).norm("direct-sum")(x)
+                     + block_space(ny, d).norm("direct-sum")(y))
             assert abs(total - parts) <= 1e-12 * max(total, 1.0)
 
-    def test_block_dims_validated(self):
-        with pytest.raises(ValueError, match=r"^expected 3 flat values for block dims \(3,\)"):
-            block_space((3,)).wrap([1.0, 2.0])
+    def test_block_shape_validated(self):
+        with pytest.raises(ValueError, match=r"^expected 3 flat values for 1 blocks of dim 3"):
+            block_space(1, 3).wrap([1.0, 2.0])
 
     def test_stacked_requires_uniform(self):
-        # only blocks of one dim have an (n, d) matrix form
-        with pytest.raises(ValueError, match=r"got shape \(1, 3\)$"):
-            block_space((1, 2)).wrap(np.ones((1, 3)))
+        # the stacked form is the (n, d) matrix: a (d, n) one of the same size is refused
+        with pytest.raises(ValueError, match=r"got shape \(3, 1\)$"):
+            block_space(1, 3).wrap(np.ones((3, 1)))
 
     def test_uniform_blocks_have_the_matrix_shape_from_both_constructors(self):
         gnn_space = GnnAggregateOperator(Graph(3), np.eye(2)).space
-        assert gnn_space.shape == block_space((2, 2, 2)).shape == (3, 2)
-        assert gnn_space.flat_shape == (6,)
-        assert block_space((1, 2)).shape == block_space((1, 2)).flat_shape == (3,)
+        assert gnn_space.shape == block_space(3, 2).shape == (3, 2)
+        assert gnn_space.flat_shape == block_space(3, 2).flat_shape == (6,)
 
 
 class TestSpace:
@@ -216,7 +213,7 @@ class TestSpace:
         assert out.dtype == np.float64 and out.tolist() == [[1, 2], [3, 4], [5, 6]]
 
     def test_block_wrap_gives_a_read_only_flat_copy_of_flat_values_or_the_matrix(self):
-        space = block_space((2, 2, 2))
+        space = block_space(3, 2)
         M = np.arange(6.0).reshape(3, 2)
         for values in (M.ravel(), M, M.tolist()):
             out = space.wrap(values)
@@ -227,16 +224,16 @@ class TestSpace:
 
     @pytest.mark.parametrize("values", [np.ones(5), np.ones((2, 3)), np.ones((3, 2, 1))])
     def test_block_wrap_names_the_expected_size(self, values):
-        message = f"expected 6 flat values for block dims (2, 2, 2), got shape {values.shape}"
+        message = f"expected 6 flat values for 3 blocks of dim 2, got shape {values.shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            block_space((2, 2, 2)).wrap(values)
+            block_space(3, 2).wrap(values)
 
     def test_block_wrap_refuses_non_finite_values(self):
         for values in ([1.0, np.nan, 0.0, 1.0, 2.0, 3.0], [[1.0, 2.0], [np.inf, 0.0], [0.0, 0.0]]):
             with pytest.raises(NonFiniteError, match=r"^block values must be finite"):
-                block_space((2, 2, 2)).wrap(values)
+                block_space(3, 2).wrap(values)
 
-    @pytest.mark.parametrize("space", [Space((2,)), Space((None, 2)), block_space((1, 1)),
+    @pytest.mark.parametrize("space", [Space((2,)), Space((None, 2)), block_space(2, 1),
                                        Space((2,), grid=grid_uniform(0, 1, 2))],
                              ids=["plain", "free-rows", "blocks", "grid"])
     def test_complex_values_are_refused_by_name(self, space):
@@ -249,22 +246,20 @@ class TestSpace:
             space.values(x)
 
 
-BLOCK_DIMS = st.one_of(
-    st.lists(st.integers(0, 5), min_size=1, max_size=8),
-    st.tuples(st.integers(1, 8), st.integers(0, 5)).map(lambda nd: [nd[1]] * nd[0]),
-)
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def block_lists(draw, dims):
-    return [draw(arrays(np.float64, d, elements=FINITE)) for d in dims]
+def block_lists(draw, n, d):
+    return [draw(arrays(np.float64, d, elements=FINITE)) for _ in range(n)]
 
 
 @st.composite
 def direct_sum_pairs(draw):
-    dims = draw(BLOCK_DIMS)
-    return draw(block_lists(dims)), draw(block_lists(dims)), draw(FINITE), draw(FINITE)
+    """n >= 1 blocks of one dim d >= 0, twice, and two coefficients; with the blocks' space."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(0, 5))
+    return (block_space(n, d), draw(block_lists(n, d)), draw(block_lists(n, d)),
+            draw(FINITE), draw(FINITE))
 
 
 class TestFlatStorageMatchesPerBlockReference:
@@ -272,22 +267,19 @@ class TestFlatStorageMatchesPerBlockReference:
 
     @given(direct_sum_pairs())
     def test_layout_and_read_only_views(self, case):
-        bx, _, _, _ = case
-        space = block_space([b.size for b in bx])
+        space, bx, _, _, _ = case
         x = space.wrap(np.concatenate(bx))
         assert x.tolist() == [v for b in bx for v in b]
         assert not x.flags.writeable
-        ends = np.cumsum(space.block_dims)
-        for d, end, ref in zip(space.block_dims, ends, bx, strict=True):
-            assert x[end - d:end].tolist() == ref.tolist()
-        if len(space.shape) == 2:
-            assert x.reshape(space.shape).tolist() == [b.tolist() for b in bx]
-            assert space.wrap(np.array(bx)).tolist() == x.tolist()
+        d = space.shape[1]
+        for v, ref in enumerate(bx):
+            assert x[v * d:(v + 1) * d].tolist() == ref.tolist()
+        assert x.reshape(space.shape).tolist() == [b.tolist() for b in bx]
+        assert space.wrap(np.array(bx)).tolist() == x.tolist()
 
     @given(direct_sum_pairs())
     def test_lincomb(self, case):
-        bx, by, a, b = case
-        space = block_space([p.size for p in bx])
+        space, bx, by, a, b = case
         x, y = np.concatenate(bx), np.concatenate(by)
         ref = [v for p, q in zip(bx, by) for v in a * p + b * q]
         assert space.lincomb(a, x, b, y).tolist() == ref
@@ -295,8 +287,7 @@ class TestFlatStorageMatchesPerBlockReference:
 
     @given(direct_sum_pairs())
     def test_norms(self, case):
-        bx, _, _, _ = case
-        space = block_space([b.size for b in bx])
+        space, bx, _, _, _ = case
         x = np.concatenate(bx)
         entries = [v for b in bx for v in b]
         assert space.norm("direct-sum")(x) == sum(np.linalg.norm(b) for b in bx)
@@ -307,8 +298,7 @@ class TestFlatStorageMatchesPerBlockReference:
 
     @given(direct_sum_pairs())
     def test_flat_round_trip(self, case):
-        bx, by, _, _ = case
-        space = block_space([b.size for b in bx])
+        space, bx, by, _, _ = case
         x = space.wrap(np.concatenate(bx))
         flat = flatten_values(x)
         assert flat.tolist() == [v for b in bx for v in b]
@@ -318,40 +308,34 @@ class TestFlatStorageMatchesPerBlockReference:
 
     def test_rejects_non_finite_once_for_all_blocks(self):
         with pytest.raises(NonFiniteError):
-            block_space((1, 2)).wrap([1.0, 2.0, np.inf])
+            block_space(1, 3).wrap([1.0, 2.0, np.inf])
         with pytest.raises(NonFiniteError):
-            block_space((2, 2)).wrap([[1.0, 2.0], [np.nan, 0.0]])
+            block_space(2, 2).wrap([[1.0, 2.0], [np.nan, 0.0]])
 
-    def test_with_values_copies_its_input(self):
+    def test_wrap_copies_its_input(self):
         # wrap, the one constructor of flat values, keeps a copy
         flat = np.array([1.0, 2.0, 3.0])
-        x = block_space((1, 2)).wrap(flat)
+        x = block_space(1, 3).wrap(flat)
         flat[0] = 9.0
         assert x.tolist() == [1.0, 2.0, 3.0]
 
 
 @st.composite
 def scaled_blocks(draw):
-    """Uniform or mixed block dims and seeded Gaussian entries scaled by 1e-8 .. 1e8."""
-    dims = draw(st.one_of(
-        st.lists(st.integers(0, 70), min_size=1, max_size=40),
-        st.tuples(st.integers(1, 200), st.integers(0, 70)).map(lambda nd: [nd[1]] * nd[0]),
-    ))
+    """n blocks of dim d and seeded Gaussian entries scaled by 1e-8 .. 1e8."""
+    n, d = draw(st.integers(1, 200)), draw(st.integers(0, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.floats(-8, 8))
-    return tuple(dims), rng.standard_normal(sum(dims)) * scale
+    return n, d, rng.standard_normal(n * d) * scale
 
 
 class TestFlatNorm:
     @settings(max_examples=300, deadline=None)
     @given(scaled_blocks())
     def test_direct_sum_equals_per_block_loop(self, case):
-        dims, values = case
-        ends = np.cumsum(dims)
-        blocks = [values[end - d:end] for d, end in zip(dims, ends)]
-        per_block = sum(np.linalg.norm(b) for b in blocks)
-        assert Space((sum(dims),), block_dims=dims).norm("direct-sum")(values) == per_block
-        assert block_space(dims).norm("direct-sum")(values) == per_block
+        n, d, values = case
+        per_block = sum(np.linalg.norm(values[v * d:(v + 1) * d]) for v in range(n))
+        assert block_space(n, d).norm("direct-sum")(values) == per_block
 
 
 @st.composite
@@ -409,7 +393,7 @@ class TestLincomb:
 
     def test_direct_sum_structure_checked(self):
         with pytest.raises(ValueError, match=r"^expected an array of 3 flat values, got \(2,\)"):
-            block_space((1, 2)).lincomb(1, np.ones(3), 1, np.ones(2))
+            block_space(1, 3).lincomb(1, np.ones(3), 1, np.ones(2))
 
     def test_x_decides_the_form_and_y_may_be_its_flat_values(self):
         f = GridFunction(grid_uniform(0, 1, 3), [1.0, 2.0, 3.0])
