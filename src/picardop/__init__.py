@@ -49,7 +49,6 @@ from .calculus import (
     LipschitzEstimate,
     FrechetDirectionalResult,
     GnnLipschitzReport,
-    attention_frechet,
     fd_directional,
     frechet_check,
     spectral_norm,

@@ -1,14 +1,15 @@
 """Operator differentiation and Lipschitz-constant machinery.
 
-Provides the analytic derivative of the cubic attention map, central
-finite-difference oracles, exact (SVD) spectral norms, a pair-sampled
-Lipschitz lower bound, and the neighborhood-counting contraction certificate
-for graph aggregation.
+Provides central finite-difference oracles and their check against the
+attention map's analytic derivative (``AttentionOperator.derivative``), exact
+(SVD) spectral norms, a pair-sampled Lipschitz lower bound, and the
+neighborhood-counting contraction certificate for graph aggregation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,12 @@ class LipschitzEstimate:
 @dataclass(frozen=True)
 class FrechetDirectionalResult:
     """Analytic vs finite-difference directional derivative at one point, or at
-    each point of a stack: ``rel_error`` is then an (S,) array."""
+    each point of a stack: ``abs_error``, ||analytic - finite_difference||, and
+    ``rel_error`` are then (S,) arrays."""
 
     analytic: np.ndarray
     finite_difference: np.ndarray
+    abs_error: float | np.ndarray
     rel_error: float | np.ndarray
     step: float
 
@@ -71,32 +74,6 @@ class GnnLipschitzReport:
         return self.product < 1.0
 
 
-def _attention_points(op: AttentionOperator, Y, H):
-    """Y and H as float arrays of one shape: an m x d point of ``op.space``, or an
-    S x m x d stack of such points; a ValueError otherwise."""
-    Y, H = np.asarray(Y, dtype=float), np.asarray(H, dtype=float)
-    if Y.ndim not in (2, 3) or Y.shape[-1] != op.d:
-        raise ValueError(f"expected an m x {op.d} matrix or an S x m x {op.d} stack, "
-                         f"got shape {Y.shape}")
-    if Y.shape != H.shape:
-        raise ValueError(f"Y and H must share a shape, got {Y.shape} vs {H.shape}")
-    return Y, H
-
-
-def attention_frechet(op: AttentionOperator, Y, H) -> np.ndarray:
-    """Derivative of the cubic attention map at Y in direction H.
-
-    The map is a product of three terms linear in Y, so the derivative is the
-    sum of the three single-substitution terms; it is linear in H. Y and H may
-    be S x m x d stacks, whose points are differentiated in one pass.
-    """
-    Y, H = _attention_points(op, Y, H)
-    Q, K, V = Y @ op.Wq, Y @ op.Wk, Y @ op.Wv
-    Qh, Kh, Vh = H @ op.Wq, H @ op.Wk, H @ op.Wv
-    return ((Qh @ K.swapaxes(-1, -2)) @ V + (Q @ Kh.swapaxes(-1, -2)) @ V
-            + (Q @ K.swapaxes(-1, -2)) @ Vh)
-
-
 def fd_directional(op: Operator, y, h, t: float = FD_DEFAULT_STEP):
     """Central-difference directional derivative (T(y + t h) - T(y - t h)) / (2 t),
     combined in ``op.space`` and returned in y's form."""
@@ -113,17 +90,18 @@ def fd_directional(op: Operator, y, h, t: float = FD_DEFAULT_STEP):
 
 def frechet_check(op: AttentionOperator, Y, H,
                   t: float = FD_DEFAULT_STEP) -> FrechetDirectionalResult:
-    """Compare the analytic attention derivative with the central difference, in L2.
+    """Compare ``op.derivative`` with the central difference, in L2.
 
     Y and H are one m x d pair or S x m x d stacks of S pairs. A stack runs the
     map, its derivative and the difference once over all its points; each point
-    gets the same operations, and so the same bytes, as a pair on its own. The
-    relative error is taken per point with ``np.vdot``, so ``rel_error`` is a
-    float for a pair and an (S,) array for a stack. A non-finite map output is
-    a DivergenceError, as in ``apply``.
+    gets the same operations, and so the same bytes, as a pair on its own. Each
+    point's absolute and relative L2 errors come from one ``np.vecdot`` per
+    quantity over the points as rows, so they are floats for a pair and (S,)
+    arrays for a stack. A non-finite map output is a DivergenceError, as in
+    ``apply``.
     """
     require_operator(op)
-    analytic = attention_frechet(op, Y, H)
+    analytic = op.derivative(Y, H)
     if t == 0:
         raise ValueError("step t must be nonzero")
     space = Space(analytic.shape)  # a stack is combined as one plain array
@@ -134,11 +112,13 @@ def frechet_check(op: AttentionOperator, Y, H,
         raise DivergenceError(str(exc)) from exc
     fd = space.lincomb(1.0 / (2 * t), plus, -1.0 / (2 * t), minus)
     gap = space.lincomb(1.0, analytic, -1.0, fd)
-    l2 = space.norm("discrete-L2")
-    per_point = (-1,) + analytic.shape[-2:]
-    rel = np.array([l2(e) / max(l2(a), 1e-14)
-                    for e, a in zip(gap.reshape(per_point), analytic.reshape(per_point))])
-    return FrechetDirectionalResult(analytic, fd, rel if analytic.ndim == 3 else float(rel[0]), t)
+    rows = (-1, math.prod(analytic.shape[-2:]))
+    abs_error, scale = (np.sqrt(np.vecdot(v, v)) for v in (gap.reshape(rows),
+                                                           analytic.reshape(rows)))
+    rel = abs_error / np.maximum(scale, 1e-14)
+    if analytic.ndim == 2:
+        abs_error, rel = float(abs_error[0]), float(rel[0])
+    return FrechetDirectionalResult(analytic, fd, abs_error, rel, t)
 
 
 def spectral_norm(A) -> float:

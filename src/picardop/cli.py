@@ -3,7 +3,8 @@
 Exit codes: 0 converged / success, 1 config error, 2 stopped at max_iter
 without converging, 3 divergence. A command writes ``manifest.json`` exactly
 when it returns an exit code, so a config error leaves no manifest. ``sweep``
-exits 1 if any sub-run had a config error, else with its highest sub-run code.
+exits 1 if any sub-run had a config error, else with its highest sub-run code,
+and prints a line to stderr for each sub-run that exits 1 or 3.
 """
 
 from __future__ import annotations
@@ -202,31 +203,27 @@ def cmd_frechet_check(cfg: dict, out_dir: Path, seed: int, base_dir: str):
     t = config_value(cfg, "check.t", "a positive number", lambda v: v > 0, default=1e-5)
     t_order = config_value(cfg, "check.order_t", "a positive number", lambda v: v > 0,
                            default=1e-3)
-    # every sample is drawn first, in the order of a per-sample loop, and each
-    # check then runs once over the (n_samples, rows, d) stacks
+    # each sample's Y, H and their two scales are drawn in turn; each stack is
+    # then scaled to its drawn norms, and each check runs once over the stacks
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_samples):
-        Y = rng.standard_normal((rows, op.d))
-        H = rng.standard_normal((rows, op.d))
-        Y *= rng.uniform(0.5, 1.0) / np.linalg.norm(Y)
-        H *= rng.uniform(0.5, 1.0) / np.linalg.norm(H)
-        samples.append((Y, H))
-    Y, H = (np.stack(points) for points in zip(*samples))
+    draws = [(rng.standard_normal((rows, op.d)), rng.standard_normal((rows, op.d)),
+              rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)) for _ in range(n_samples)]
+    Y, H, scale_Y, scale_H = (np.array(column) for column in zip(*draws))
+    for X, scale in ((Y, scale_Y), (H, scale_H)):
+        points = X.reshape(n_samples, -1)
+        X *= (scale / np.sqrt(np.vecdot(points, points)))[:, None, None]
     max_rel = float(frechet_check(op, Y, H, t=t).rel_error.max())
-    e1 = frechet_check(op, Y, H, t=t_order)
-    e2 = frechet_check(op, Y, H, t=t_order / 2)
-    errors_t = [np.linalg.norm(e) for e in e1.analytic - e1.finite_difference]
-    errors_half = [np.linalg.norm(e) for e in e2.analytic - e2.finite_difference]
-    ratio = float(max(errors_t) / max(max(errors_half), 1e-300))
+    max_t, max_half = (float(frechet_check(op, Y, H, t=step).abs_error.max())
+                       for step in (t_order, t_order / 2))
+    ratio = max_t / max(max_half, 1e-300)
     report = {
         "n_samples": n_samples,
         "t": t,
         "max_rel_error": max_rel,
         "order_check": {
             "t": t_order,
-            "max_error_t": float(max(errors_t)),
-            "max_error_half_t": float(max(errors_half)),
+            "max_error_t": max_t,
+            "max_error_half_t": max_half,
             "ratio": ratio,
             "order_estimate": float(math.log2(ratio)) if ratio > 0 else None,
         },
@@ -311,10 +308,15 @@ def cmd_sweep(cfg: dict, out_dir: Path, seed: int, base_dir: str):
         run_dir = out_dir / "runs" / f"{idx:03d}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            code, _ = _run(command, sub_cfg, run_dir, seed, base_dir)
-        except (ConfigError, DivergenceError) as exc:
+            code, status = _run(command, sub_cfg, run_dir, seed, base_dir)
+        except ConfigError as exc:
             write_json_atomic(run_dir / "summary.json", {"error": str(exc)})
-            code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DIVERGED
+            code, status = EXIT_CONFIG, str(exc)
+        except DivergenceError as exc:
+            write_json_atomic(run_dir / "summary.json", {"error": str(exc)})
+            code, status = EXIT_DIVERGED, f"iteration diverged: {exc}"
+        if code in (EXIT_CONFIG, EXIT_DIVERGED):
+            print(f"run {idx:03d}: {status}", file=sys.stderr)
         codes.append(code)
         lines.append(f"{idx},{json.dumps(value)},{code}")
     write_text_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")

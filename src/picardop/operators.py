@@ -103,7 +103,8 @@ class AttentionOperator(Operator):
     """Softmax-free self-attention Y -> (Y Wq)(Y Wk)^T (Y Wv); cubic in Y.
 
     Y is an m x d matrix of m tokens; the weight matrices are d x d. ``_map``
-    also takes an (S, m, d) stack of such matrices and maps each in one pass.
+    and ``derivative`` also take (S, m, d) stacks of such matrices, one pass
+    for all S.
     """
 
     def __init__(self, Wq, Wk, Wv):
@@ -126,6 +127,25 @@ class AttentionOperator(Operator):
         if not all_finite(out):
             raise NonFiniteError(NON_FINITE_OUTPUT)
         return out
+
+    def derivative(self, Y, H) -> np.ndarray:
+        """The Frechet derivative of the map at Y in direction H.
+
+        The map is a product of three terms linear in Y, so the derivative is
+        the sum of the three single-substitution terms; it is linear in H. Y
+        and H are one m x d pair or S x m x d stacks of one shape, whose points
+        are differentiated in one pass; a ValueError otherwise.
+        """
+        Y, H = np.asarray(Y, dtype=float), np.asarray(H, dtype=float)
+        if Y.ndim not in (2, 3) or Y.shape[-1] != self.d:
+            raise ValueError(f"expected an m x {self.d} matrix or an S x m x {self.d} "
+                             f"stack, got shape {Y.shape}")
+        if Y.shape != H.shape:
+            raise ValueError(f"Y and H must share a shape, got {Y.shape} vs {H.shape}")
+        Q, K, V = Y @ self.Wq, Y @ self.Wk, Y @ self.Wv
+        Qh, Kh, Vh = H @ self.Wq, H @ self.Wk, H @ self.Wv
+        return ((Qh @ K.swapaxes(-1, -2)) @ V + (Q @ Kh.swapaxes(-1, -2)) @ V
+                + (Q @ K.swapaxes(-1, -2)) @ Vh)
 
 
 class SeparableLinearKernel:

@@ -45,6 +45,11 @@ class PicardConfig:
             raise ValueError("lambda must be finite and nonzero")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        try:
+            # the CLI's integer rule: ints and integral floats, not booleans
+            object.__setattr__(self, "max_iter", integer(self.max_iter))
+        except ValueError:
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 <= self.smoothing <= 1.0:

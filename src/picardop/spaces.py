@@ -259,12 +259,26 @@ class Space:
             # all block norms in one vecdot; add.accumulate sums them strictly left
             # to right, as a Python sum over per-block np.linalg.norm calls does,
             # where np.sum's pairwise order would change the last bits of steps
-            return float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
+            total = float(np.add.accumulate(np.sqrt(np.vecdot(S, S)))[-1])
+            if total != math.inf:
+                return total
+            # a block's sum of squares overflowed: measure each block by _l2_norm
+            return float(np.add.accumulate([_l2_norm(block) for block in S])[-1])
         return blocks_norm
 
 
 def _l2_norm(values: np.ndarray) -> float:
-    return math.sqrt(np.vdot(values, values))  # np.linalg.norm's, without dot's overflow warning
+    """sqrt(vdot(v, v)), np.linalg.norm's value without dot's overflow warning;
+    only when finite entries overflow that sum of squares is it m * ||v / m||
+    with m = max|v| (Blue, ACM TOMS 4(1), 1978). Inf and NaN entries keep it."""
+    norm = math.sqrt(np.vdot(values, values))
+    if norm != math.inf:
+        return norm
+    m = float(np.abs(values).max())
+    if m == math.inf:
+        return norm
+    scaled = values / m
+    return m * math.sqrt(np.vdot(scaled, scaled))
 
 
 def _sup_norm(values: np.ndarray) -> float:

@@ -15,7 +15,6 @@ from picardop import (
     Operator,
     PicardConfig,
     Space,
-    attention_frechet,
     fd_directional,
     frechet_check,
     gnn_lipschitz_report,
@@ -47,11 +46,11 @@ class TestAttentionFrechet:
         rng = np.random.default_rng(60)
         op = random_attention(rng, 3)
         Y = rng.standard_normal((4, 3))
-        assert np.array_equal(attention_frechet(op, Y, np.zeros((4, 3))), np.zeros((4, 3)))
+        assert np.array_equal(op.derivative(Y, np.zeros((4, 3))), np.zeros((4, 3)))
 
     def test_scalar_cubic_derivative(self):
         op = AttentionOperator([[1.0]], [[1.0]], [[1.0]])
-        out = attention_frechet(op, np.array([[2.0]]), np.array([[1.0]]))
+        out = op.derivative(np.array([[2.0]]), np.array([[1.0]]))
         assert np.allclose(out, [[12.0]])  # 3 y^2 h at y=2, h=1
 
     def test_linearity_in_direction(self):
@@ -60,14 +59,14 @@ class TestAttentionFrechet:
         Y = rng.standard_normal((5, 3))
         H1, H2 = rng.standard_normal((2, 5, 3))
         a, b = 1.7, -0.3
-        lhs = attention_frechet(op, Y, a * H1 + b * H2)
-        rhs = a * attention_frechet(op, Y, H1) + b * attention_frechet(op, Y, H2)
+        lhs = op.derivative(Y, a * H1 + b * H2)
+        rhs = a * op.derivative(Y, H1) + b * op.derivative(Y, H2)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
 
     def test_shape_mismatch(self):
         op = AttentionOperator(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            attention_frechet(op, np.ones((3, 2)), np.ones((4, 2)))
+            op.derivative(np.ones((3, 2)), np.ones((4, 2)))
         # a (1, 2) direction would broadcast against the (3, 2) point if unchecked
         with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 2\) vs \(1, 2\)$"):
             fd_directional(op, np.ones((3, 2)), np.ones((1, 2)))
@@ -87,7 +86,7 @@ class TestFdDirectional:
         fd = fd_directional(op, np.ones(3), np.ones(3), 1e-5)
         assert np.abs(fd).max() <= 1e-10
 
-    def test_matches_attention_frechet(self):
+    def test_matches_attention_derivative(self):
         rng = np.random.default_rng(63)
         op = random_attention(rng, 4)
         Y = rng.standard_normal((4, 4))
@@ -136,13 +135,16 @@ class TestBatchedFrechetCheck:
         Y, H = random_points(rng, S, m, d)
         stacked = frechet_check(op, Y, H, t=t)
         assert stacked.rel_error.shape == (S,) and stacked.step == t
-        assert np.array_equal(attention_frechet(op, Y, H), stacked.analytic)
+        assert np.array_equal(op.derivative(Y, H), stacked.analytic)
+        gap = stacked.analytic - stacked.finite_difference
+        assert np.array_equal(stacked.abs_error, [np.linalg.norm(e) for e in gap])
         for s in range(S):
             pair = frechet_check(op, Y[s], H[s], t=t)
-            assert isinstance(pair.rel_error, float)
+            assert isinstance(pair.rel_error, float) and isinstance(pair.abs_error, float)
             assert pair.analytic.tobytes() == stacked.analytic[s].tobytes()
             assert pair.finite_difference.tobytes() == stacked.finite_difference[s].tobytes()
             assert np.float64(pair.rel_error).tobytes() == stacked.rel_error[s].tobytes()
+            assert np.float64(pair.abs_error).tobytes() == stacked.abs_error[s].tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_stack_is_divergence(self):
@@ -170,7 +172,7 @@ class TestBatchedFrechetCheck:
         with pytest.raises(ValueError, match=message):
             frechet_check(op, np.ones(Y_shape), np.ones(H_shape))
         with pytest.raises(ValueError, match=message):
-            attention_frechet(op, np.ones(Y_shape), np.ones(H_shape))
+            op.derivative(np.ones(Y_shape), np.ones(H_shape))
 
 
 class TestSpectralNorm:

@@ -65,6 +65,24 @@ class TestSolveCommand:
         assert summary["final_residual"] <= 1e-11
         assert np.isfinite(np.linalg.solve(np.eye(2) - A, b + f)).all()
 
+    def test_huge_finite_free_term_keeps_a_finite_residual(self, tmp_path):
+        # 1e300 squared overflows a sum of squares; the norm rescales instead, so
+        # the steps and the residual stay finite and summary.json stays valid
+        # JSON. epsilon lies below rounding at that scale, so it still exits 2.
+        cfg = json.loads((CONFIGS / "affine_solve.json").read_text())
+        cfg["f"][0] = -1e300
+        cfg["operator"]["A"] = str(CONFIGS / cfg["operator"]["A"])
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out), "--quiet"]) == 2
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert np.isfinite(summary["final_residual"]) and summary["final_residual"] > 0
+        steps = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, usecols=1)
+        assert np.isfinite(steps).all()
+
     def test_expanding_map_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "operator": {"type": "affine", "A": [[1.3, 0.0], [0.0, 1.2]], "b": [0, 0]},
@@ -440,11 +458,12 @@ class TestPignCommand:
 
 
 class TestSweepCommand:
-    def test_sweep_solve_over_lambda(self, tmp_path):
+    def test_sweep_solve_over_lambda(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["sweep", "--config", str(CONFIGS / "sweep_lambda.json"),
                      "--out", str(out), "--quiet"])
         assert code == 0
+        assert capsys.readouterr() == ("", "")  # no sub-run failed
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert lines[0] == "index,value,exit_code"
         assert len(lines) == 5
@@ -452,12 +471,15 @@ class TestSweepCommand:
             run_summary = out / "runs" / f"{i:03d}" / "summary.json"
             assert json.loads(run_summary.read_text())["converged"] is True
 
-    @pytest.mark.parametrize("command, values, codes, want", [
-        ("solve", [0.1, 1.0], [0, 3], 3),
-        ("solve", [0.1, 1.0, 0.0], [0, 3, 1], 1),
-        ("rates", [0.1, 1.0], [1, 3], 1),
+    @pytest.mark.parametrize("command, values, codes, want, stderr", [
+        ("solve", [0.1, 1.0], [0, 3], 3, ["run 001: diverged after "]),
+        ("solve", [0.1, 1.0, 0.0], [0, 3, 1], 1,
+         ["run 001: diverged after ", "run 002: config error at 'picard.lambda'"]),
+        ("rates", [0.1, 1.0], [1, 3], 1,
+         ["run 000: config error at 'rates.k'", "run 001: iteration diverged: "]),
     ], ids=["divergence-is-highest", "config-error-wins", "rates-divergence-recorded"])
-    def test_exit_code_summarises_sub_runs(self, tmp_path, command, values, codes, want):
+    def test_exit_code_summarises_sub_runs(self, tmp_path, capsys, command, values, codes,
+                                           want, stderr):
         # rates.k understates the true constant 2*lambda: at lambda=0.1 the
         # actual errors exceed the bounds (a config error), and at lambda=1 the
         # reference solve of rates diverges before the bounds are checked
@@ -473,6 +495,27 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
         assert [int(row.split(",")[-1]) for row in rows] == codes
         assert (out / "manifest.json").exists()
+        # one stderr line per failing sub-run; a raised divergence reads as main's
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(stderr)
+        assert all(line.startswith(start) for line, start in zip(err, stderr))
+
+    @pytest.mark.parametrize("values, line", [
+        ([0.5, 0.0], "run 001: config error at 'picard.lambda': "
+                     "must be a finite nonzero number, got 0.0"),
+        ([0.5, 3.0], "run 001: diverged after 60 iterations: step norm exceeded "
+                     "1e+12 x its initial value at iteration 59"),
+    ], ids=["config-error", "divergence"])
+    def test_failing_sub_run_is_named_on_stderr(self, tmp_path, capsys, values, line):
+        cfg = json.loads((CONFIGS / "sweep_lambda.json").read_text())
+        cfg["sweep"]["values"] = values
+        cfg["operator"]["A"] = str(CONFIGS / cfg["operator"]["A"])
+        path = write_config(tmp_path, "c.json", cfg)
+        code = main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == (1 if "config" in line else 3)
+        assert out == "swept picard.lambda over 2 values\n"
+        assert err == line + "\n"
 
     def test_bad_field_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {

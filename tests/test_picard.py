@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from picardop import (
     trace_csv_text,
     uniqueness_check,
 )
+from picardop import picard
 from picardop.cli import RATES_ROUNDING
 from picardop.errors import ConfigError, DivergenceError, NonFiniteError
 from picardop.operators import neighborhood_membership_counts, norm_in
@@ -108,6 +110,17 @@ class TestPicardSolve:
         assert err.value.trace is not None
         assert err.value.trace.iterations_used > 0
 
+    def test_step_ratio_exit_names_the_iteration_and_keeps_the_trace(self):
+        # steps grow by 1.5 a step, so the 70th (index 69) is the first above
+        # 1e12 x the first, long before max_iter
+        op = AffineOperator(np.eye(2) * 1.5)
+        with pytest.raises(DivergenceError) as err:
+            picard_solve(op, PicardConfig(1.0, 1e-12, 100), np.ones(2))
+        assert str(err.value) == (
+            "step norm exceeded 1e+12 x its initial value at iteration 69")
+        assert err.value.trace.iterations_used == 70
+        assert [s.index for s in err.value.trace.steps] == list(range(70))
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_iterate_raises(self):
         op = AffineOperator(np.array([[1e200]]))
@@ -129,6 +142,21 @@ class TestPicardSolve:
             PicardConfig(lam=1.0, epsilon=1e-6, max_iter=10, smoothing=1.5)
         with pytest.raises(ValueError):
             PicardConfig(lam=1.0, epsilon=1e-6, max_iter=10, norm_kind="L1")
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, "5"])
+    def test_non_integer_max_iter_is_refused_before_any_apply(self, monkeypatch, max_iter):
+        applied = []
+        monkeypatch.setattr(picard, "apply", lambda op, y: applied.append(y) or op(y))
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got "):
+            picard_solve(AffineOperator(0.5 * np.eye(2)),
+                         PicardConfig(1.0, 1e-6, max_iter), np.ones(2))
+        assert applied == []
+
+    def test_integral_float_max_iter_runs_that_many_iterations(self):
+        cfg = PicardConfig(1.0, 1e-300, 3.0)
+        assert type(cfg.max_iter) is int
+        _, trace = picard_solve(AffineOperator(0.5 * np.eye(2)), cfg, np.ones(2))
+        assert trace.iterations_used == 3 and not trace.converged
 
     @pytest.mark.parametrize("run_max_iter, n", [(100, 11), (4, 4)],
                              ids=["run-converges", "run-capped"])
@@ -348,12 +376,15 @@ class TestFlatArrayLoop:
 
     @pytest.mark.parametrize("norm_kind", ["discrete-L2", "direct-sum"])
     def test_overflowing_norm_of_finite_entries_is_no_error(self, norm_kind):
-        # 1e200**2 overflows the sum of squares, but every entry stays finite
+        # 1e200**2 overflows the sum of squares, but every entry stays finite, and
+        # so does each step norm, within 7 roundings of math.hypot (under 1 ulp)
         op = AffineOperator(0.5 * np.eye(2))
         cfg = PicardConfig(lam=1.0, epsilon=1e-12, max_iter=5, norm_kind=norm_kind)
-        sol, trace = picard_solve(op, cfg, np.array([1e200, 1e200]))
+        sol, trace = picard_solve(op, cfg, np.array([1e200, 1e200]), record_iterates=True)
         assert trace.iterations_used == 5
-        assert all(s.step_norm == s.residual == np.inf for s in trace.steps)
+        assert all(s.step_norm == s.residual for s in trace.steps)
+        want = np.array([math.hypot(*gap) for gap in np.diff(trace.iterates, axis=0)])
+        assert np.all(np.abs(trace.step_norms - want) <= 7 * 2.0 ** -53 * want)
         assert np.isfinite(sol).all()
 
 

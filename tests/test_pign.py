@@ -219,6 +219,16 @@ class TestPignEmbed:
             pign_embed(op, rng.standard_normal(12), 0.5, 7, epsilon)
         assert applied == []
 
+    @pytest.mark.parametrize("n", [2.5, True, "5"])
+    def test_non_integer_step_count_is_refused_before_any_apply(self, monkeypatch, n):
+        rng = np.random.default_rng(13)
+        op = certified_operator(rng, Graph(4, [(0, 1), (0, 2), (2, 3)]), 3)
+        applied = []
+        monkeypatch.setattr(picard, "apply", lambda op, y: applied.append(y) or op(y))
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got "):
+            pign_embed(op, rng.standard_normal(12), 0.5, n, 1e-6)
+        assert applied == []
+
     def test_warns_when_not_certified(self):
         rng = np.random.default_rng(14)
         g = Graph(3, [(0, 1), (1, 2)])

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -336,6 +337,51 @@ class TestFlatNorm:
         n, d, values = case
         per_block = sum(np.linalg.norm(values[v * d:(v + 1) * d]) for v in range(n))
         assert block_space(n, d).norm("direct-sum")(values) == per_block
+
+
+# Finite entries up to 1e300 in magnitude: any that pass ~1.3e154 overflow the sum
+# of squares, and subnormal ones underflow it.
+huge_entries = st.floats(-1e300, 1e300, allow_nan=False)
+UNDERFLOW = 2.0 ** -537  # sqrt(2**-1074): what one square can lose below the normal range
+
+
+def l2_tolerance(ref, n):
+    """The error allowed against a ``math.hypot`` reference (under 1 ulp, Python
+    3.10+) for n entries: (n + 5) roundings of 2**-53, from the rescale's quotient,
+    the squares, the sum, the root, the product and the reference, plus each
+    square's loss to underflow."""
+    return (n + 5) * 2.0 ** -53 * ref + np.sqrt(2 * n) * UNDERFLOW
+
+
+class TestOverflowSafeNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.integers(1, 64), elements=huge_entries))
+    def test_l2_norm_of_finite_entries_is_finite_and_accurate(self, values):
+        got = Space(values.shape).norm("discrete-L2")(values)
+        ref = math.hypot(*values)
+        assert math.isfinite(got)
+        assert abs(got - ref) <= l2_tolerance(ref, values.size)
+        plain = math.sqrt(np.vdot(values, values))
+        if math.isfinite(plain):
+            assert got == plain  # a norm that does not overflow keeps its bytes
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    def test_gnn_block_norm_of_finite_entries_is_finite_and_accurate(self, n, d, data):
+        values = data.draw(arrays(float, n * d, elements=huge_entries))
+        op = GnnAggregateOperator(Graph(n), np.eye(d))
+        got = op.space.norm("direct-sum")(values)
+        blocks = values.reshape(n, d)
+        ref = math.fsum(math.hypot(*b) for b in blocks)
+        assert math.isfinite(got)
+        # each block's allowance, plus n roundings of the sum over the blocks
+        tol = (d + n + 5) * 2.0 ** -53 * ref + n * np.sqrt(2 * d) * UNDERFLOW
+        assert abs(got - ref) <= tol
+        with np.errstate(over="ignore"):
+            plain = float(np.add.accumulate(np.sqrt(np.vecdot(blocks, blocks)))[-1])
+        if math.isfinite(plain):
+            assert got == plain
 
 
 @st.composite
